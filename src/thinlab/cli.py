@@ -12,7 +12,8 @@ import math
 import sys
 
 from .core import ConfigError
-from .experiments import ExperimentConfig, csv_header, emit, run_experiment, sweep
+from .experiments import (ExperimentConfig, emit, format_results,
+                          run_experiment, sweep)
 from .oracle import OracleBudgetExceeded, exact_distribution
 from .strategies import make_strategy
 from .theory import (beta_sequence, ell, lower_tail_probability,
@@ -95,35 +96,13 @@ def _emit_or_print(results, config: ExperimentConfig, include_runtime: bool) -> 
     if config.out:
         emit(results, config.fmt, config.out, include_runtime=include_runtime)
         print(f"wrote {config.fmt} to {config.out}", file=sys.stderr)
-        return
-    import csv as _csv
-    import io
-
-    from .experiments import _csv_row
-
-    buf = io.StringIO()
-    rows = results if isinstance(results, list) else [results]
-    if config.fmt == "csv":
-        writer = _csv.writer(buf, lineterminator="\n")
-        writer.writerow(csv_header(rows[0].d))
-        for r in rows:
-            writer.writerow(_csv_row(r, include_runtime))
     else:
-        buf.write(json.dumps([r.to_dict(include_runtime) for r in rows],
-                             sort_keys=True, indent=2) + "\n")
-    sys.stdout.write(buf.getvalue())
+        sys.stdout.write(format_results(results, config.fmt, include_runtime))
 
 
-def cmd_run(args) -> int:
+def cmd_run_or_sweep(args) -> int:
     config = _merge_config(args)
-    result = run_experiment(config)
-    _emit_or_print(result, config, args.timing)
-    return 0
-
-
-def cmd_sweep(args) -> int:
-    config = _merge_config(args)
-    results = sweep(config)
+    results = run_experiment(config) if args.command == "run" else sweep(config)
     _emit_or_print(results, config, args.timing)
     return 0
 
@@ -137,8 +116,8 @@ def cmd_theory(args) -> int:
         ("ell", l), ("cap", math.floor(l)), ("d_ell", args.d * l),
         ("eps", args.eps),
         ("upper_load", upper), ("lower_load", lower),
-        ("upper_tail_prob", upper_tail_probability(args.n, args.eps)),
-        ("lower_tail_prob", lower_tail_probability(args.n, args.d, args.eps)),
+        ("upper_tail_rate", upper_tail_probability(args.n, args.eps)),
+        ("lower_tail_rate", lower_tail_probability(args.n, args.d, args.eps)),
     ]
     rows += [(f"beta_{i + 1}", b) for i, b in enumerate(betas)]
     if args.fmt == "csv":
@@ -167,8 +146,8 @@ def cmd_oracle(args) -> int:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    handlers = {"run": cmd_run, "sweep": cmd_sweep, "theory": cmd_theory,
-                "oracle": cmd_oracle}
+    handlers = {"run": cmd_run_or_sweep, "sweep": cmd_run_or_sweep,
+                "theory": cmd_theory, "oracle": cmd_oracle}
     try:
         return handlers[args.command](args)
     except (ConfigError, ValueError, OracleBudgetExceeded) as exc:

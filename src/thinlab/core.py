@@ -19,8 +19,12 @@ the consumption pattern.
 from __future__ import annotations
 
 import json
+import os
+import resource
 import time
+from collections import Counter
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Sequence
 
 import numpy as np
@@ -38,29 +42,69 @@ class PoolExhausted(RuntimeError):
     """A finite replay pool ran out of values."""
 
 
+def _memory_bytes() -> int:
+    """Physical memory, lowered to the address-space limit when one is set."""
+    physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    soft, _ = resource.getrlimit(resource.RLIMIT_AS)
+    return physical if soft == resource.RLIM_INFINITY else min(physical, soft)
+
+
+MEMORY_BYTES = _memory_bytes()
+
+
+def trial_int64s(n: int, d: int, m: int) -> int:
+    """Estimated int64 values one trial holds at its peak.
+
+    The state's d+1 n-length rows plus two n-length temporaries, and about
+    five m-length arrays in a round (the take, the strategy's ranks and
+    masks, the accepted suggestions).
+    """
+    return (d + 3) * n + 5 * m
+
+
+def require_memory(int64s: int, what: str) -> None:
+    """Refuse, before allocating anything, a run whose arrays cannot fit."""
+    need = 8 * int64s
+    if need > MEMORY_BYTES:
+        raise ConfigError(f"{what} needs about {need / 1e6:,.0f} MB of int64 arrays, "
+                          f"more than the {MEMORY_BYTES / 1e6:,.0f} MB of memory available")
+
+
 # ---------------------------------------------------------------------------
 # suggestion pools
 # ---------------------------------------------------------------------------
 
 
-class UniformBinPool:
-    """Chunk-buffered stream of i.i.d. uniform values on [0, n)."""
+class Pool:
+    """Stream of values served from `block`, then from each block `draw()` returns.
 
-    def __init__(self, rng: np.random.Generator, n: int, chunk: int = _CHUNK):
-        self._rng = rng
-        self._n = n
-        self._chunk = chunk
-        self._buf = np.empty(0, dtype=np.int64)
+    A seeded pool starts empty and draws fixed-size blocks, so its value sequence depends only
+    on its seed, never on how take() and next() calls split it.  A replay
+    pool (`Pool.replay`) holds one fixed block and raises PoolExhausted when
+    asked for more.
+    """
+
+    def __init__(self, draw, block: np.ndarray):
+        self._draw = draw
+        self._buf = block
         self._pos = 0
         self.consumed = 0
 
+    @classmethod
+    def replay(cls, values, dtype=np.int64) -> "Pool":
+        """Finite pool replaying `values`, for scripted runs."""
+        block = np.asarray(values, dtype=dtype)
+
+        def exhausted():
+            raise PoolExhausted(f"replay pool exhausted after {block.size} values")
+        return cls(exhausted, block)
+
     def _refill(self) -> None:
-        # Fixed-size refills keep the stream independent of take/next mixing.
-        self._buf = self._rng.integers(0, self._n, size=self._chunk, dtype=np.int64)
+        self._buf = self._draw()
         self._pos = 0
 
     def take(self, k: int) -> np.ndarray:
-        out = np.empty(k, dtype=np.int64)
+        out = np.empty(k, dtype=self._buf.dtype)
         filled = 0
         while filled < k:
             if self._pos == self._buf.size:
@@ -72,104 +116,33 @@ class UniformBinPool:
         self.consumed += k
         return out
 
-    def next(self) -> int:
+    def next(self):
         if self._pos == self._buf.size:
             self._refill()
-        v = int(self._buf[self._pos])
+        v = self._buf.item(self._pos)
         self._pos += 1
         self.consumed += 1
         return v
 
 
-class ReplayBinPool:
-    """Finite pool replaying a fixed list of suggestions (oracle and tests)."""
-
-    def __init__(self, values: Sequence[int]):
-        self._values = [int(v) for v in values]
-        self.consumed = 0
-
-    def take(self, k: int) -> np.ndarray:
-        if self.consumed + k > len(self._values):
-            raise PoolExhausted(f"replay pool exhausted after {len(self._values)} values")
-        out = np.asarray(self._values[self.consumed:self.consumed + k], dtype=np.int64)
-        self.consumed += k
-        return out
-
-    def next(self) -> int:
-        if self.consumed >= len(self._values):
-            raise PoolExhausted(f"replay pool exhausted after {len(self._values)} values")
-        v = self._values[self.consumed]
-        self.consumed += 1
-        return v
+def _generator(*key: int) -> np.random.Generator:
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(key)))
 
 
-class UniformFloatPool:
-    """Chunk-buffered stream of i.i.d. uniform floats on [0, 1)."""
-
-    def __init__(self, rng: np.random.Generator, chunk: int = _CHUNK):
-        self._rng = rng
-        self._chunk = chunk
-        self._buf = np.empty(0, dtype=np.float64)
-        self._pos = 0
-        self.consumed = 0
-
-    def _refill(self) -> None:
-        self._buf = self._rng.random(self._chunk)
-        self._pos = 0
-
-    def take(self, k: int) -> np.ndarray:
-        out = np.empty(k, dtype=np.float64)
-        filled = 0
-        while filled < k:
-            if self._pos == self._buf.size:
-                self._refill()
-            span = min(k - filled, self._buf.size - self._pos)
-            out[filled:filled + span] = self._buf[self._pos:self._pos + span]
-            self._pos += span
-            filled += span
-        self.consumed += k
-        return out
-
-    def next(self) -> float:
-        if self._pos == self._buf.size:
-            self._refill()
-        v = float(self._buf[self._pos])
-        self._pos += 1
-        self.consumed += 1
-        return v
+def _aux_pool(seed: int) -> Pool:
+    """The strategy's stream of uniform floats on [0, 1)."""
+    return Pool(partial(_generator(seed, AUX_TAG).random, _CHUNK), np.empty(0, np.float64))
 
 
-class ReplayFloatPool:
-    """Finite float pool for scripted strategy randomness in tests."""
-
-    def __init__(self, values: Sequence[float]):
-        self._values = [float(v) for v in values]
-        self.consumed = 0
-
-    def take(self, k: int) -> np.ndarray:
-        if self.consumed + k > len(self._values):
-            raise PoolExhausted("replay float pool exhausted")
-        out = np.asarray(self._values[self.consumed:self.consumed + k], dtype=np.float64)
-        self.consumed += k
-        return out
-
-    def next(self) -> float:
-        if self.consumed >= len(self._values):
-            raise PoolExhausted("replay float pool exhausted")
-        v = self._values[self.consumed]
-        self.consumed += 1
-        return v
-
-
-def make_pools(n: int, d: int, seed: int) -> tuple[list[UniformBinPool], UniformFloatPool]:
-    """Build the d per-round suggestion streams and the strategy aux stream."""
-    pools = []
-    for i in range(1, d + 1):
-        ss = np.random.SeedSequence((seed, POOL_TAG, i))
-        pools.append(UniformBinPool(np.random.Generator(np.random.PCG64(ss)), n))
-    aux_ss = np.random.SeedSequence((seed, AUX_TAG))
-    aux = UniformFloatPool(np.random.Generator(np.random.PCG64(aux_ss)))
-    return pools, aux
+def make_pools(n: int, d: int, seed: int) -> tuple[list[Pool], Pool]:
+    """Build the d per-round suggestion streams (uniform on [0, n)) and the aux stream."""
+    pools = [
+        Pool(partial(_generator(seed, POOL_TAG, i).integers, 0, n, size=_CHUNK,
+                     dtype=np.int64),
+             np.empty(0, np.int64))
+        for i in range(1, d + 1)
+    ]
+    return pools, _aux_pool(seed)
 
 
 # ---------------------------------------------------------------------------
@@ -184,8 +157,7 @@ class AllocationState:
     loads[m] is the total load of bin m; round_loads[i-1][m] counts balls that
     accepted bin m at round i; rejection_counters[i-1] is r_i(t), the number
     of balls whose first i-1 offers were all rejected (r_1 = t); psi_seen[m]
-    flags bins ever offered as a primary; draws_used[i-1] counts values
-    consumed from the round-i pool and always equals r_i.
+    flags bins ever offered as a primary.
     """
 
     n: int
@@ -195,7 +167,6 @@ class AllocationState:
     round_loads: np.ndarray
     rejection_counters: np.ndarray
     psi_seen: np.ndarray
-    draws_used: np.ndarray
 
     def validate(self) -> None:
         """Assert the structural invariants; used by tests after every run."""
@@ -206,7 +177,6 @@ class AllocationState:
         assert all(int(r[i]) >= int(r[i + 1]) for i in range(self.d - 1))
         assert int(r[self.d - 1]) >= 0
         assert np.array_equal(self.round_loads.sum(axis=0), self.loads)
-        assert np.array_equal(self.draws_used, self.rejection_counters)
 
 
 def new_state(n: int, d: int) -> AllocationState:
@@ -223,7 +193,6 @@ def new_state(n: int, d: int) -> AllocationState:
         round_loads=np.zeros((d, n), dtype=np.int64),
         rejection_counters=np.zeros(d, dtype=np.int64),
         psi_seen=np.zeros(n, dtype=bool),
-        draws_used=np.zeros(d, dtype=np.int64),
     )
 
 
@@ -258,7 +227,6 @@ def step(state: AllocationState, strategy, pools, aux=None) -> DecisionRecord:
     state.loads[final] += 1
     state.round_loads[chosen - 1][final] += 1
     state.rejection_counters[:chosen] += 1
-    state.draws_used[:chosen] += 1
     state.psi_seen[suggestions[0]] = True
     state.t += 1
     return DecisionRecord(t=state.t - 1, chosen=chosen, suggestions=tuple(suggestions), final=final)
@@ -377,15 +345,6 @@ def _result_from_state(state: AllocationState, m: int, strategy, seed: int,
     )
 
 
-def _run_steps(state: AllocationState, m: int, strategy, pools, aux, collect):
-    records = [] if collect else None
-    for _ in range(m):
-        rec = step(state, strategy, pools, aux)
-        if collect:
-            records.append(rec)
-    return records
-
-
 def _run_vectorized(state: AllocationState, m: int, strategy, pools, aux) -> None:
     """Whole-round path; byte-identical to the step loop for mask strategies.
 
@@ -395,11 +354,9 @@ def _run_vectorized(state: AllocationState, m: int, strategy, pools, aux) -> Non
     """
     d = state.d
     current = pools[0].take(m)
-    if m:
-        state.psi_seen[np.unique(current)] = True
+    state.psi_seen[current] = True
     for i in range(1, d + 1):
         state.rejection_counters[i - 1] = current.size
-        state.draws_used[i - 1] = current.size
         if i < d:
             mask = strategy.accept_mask(i, current, aux)
             accepted = current[mask]
@@ -421,20 +378,28 @@ def run_trial(n: int, d: int, m: int, strategy, seed: int,
     """
     if m < 0:
         raise ConfigError(f"ball count must be >= 0, got {m}")
+    require_memory(trial_int64s(n, d, m), f"a trial with n={n}, d={d}, m={m}")
     state = new_state(n, d)
     pools, aux = make_pools(n, d, seed)
     start = time.perf_counter()
-    use_fast = strategy.accept_mask is not None and not collect_records
-    if use_fast:
+    records = []
+    if strategy.accept_mask is not None and not collect_records:
         _run_vectorized(state, m, strategy, pools, aux)
-        records = None
     else:
-        records = _run_steps(state, m, strategy, pools, aux, collect_records)
+        for _ in range(m):
+            record = step(state, strategy, pools, aux)
+            if collect_records:
+                records.append(record)
     wall_ms = (time.perf_counter() - start) * 1e3
     result = _result_from_state(state, m, strategy, seed, wall_ms)
-    if collect_records:
-        return result, records
-    return result
+    return (result, records) if collect_records else result
+
+
+def per_trial_max_load_counts(n: int, d: int, m: int, strategy, trials: int,
+                              seed: int) -> dict[int, int]:
+    """Max-load frequency table of `run_trial` j with seed mix_seed(seed, j)."""
+    return dict(Counter(run_trial(n, d, m, strategy, mix_seed(seed, j)).max_load
+                        for j in range(trials)))
 
 
 def simulate_max_load_counts(n: int, d: int, m: int, strategy, trials: int,
@@ -448,13 +413,11 @@ def simulate_max_load_counts(n: int, d: int, m: int, strategy, trials: int,
     are preserved by tagging each suggestion with its trial index.
     """
     if strategy.accept_mask is None:
-        counts: dict[int, int] = {}
-        for trial in range(trials):
-            res = run_trial(n, d, m, strategy, mix_seed(seed, trial))
-            counts[res.max_load] = counts.get(res.max_load, 0) + 1
-        return counts
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, POOL_TAG, 0))))
-    aux = UniformFloatPool(np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, AUX_TAG)))))
+        return per_trial_max_load_counts(n, d, m, strategy, trials, seed)
+    # per trial: bin totals and their bincount, about nine m-length key arrays
+    require_memory(trials * (2 * n + 9 * m), f"{trials} batched trials with n={n}, d={d}, m={m}")
+    rng = _generator(seed, POOL_TAG, 0)
+    aux = _aux_pool(seed)
     trial_of = np.repeat(np.arange(trials, dtype=np.int64), m)
     current = rng.integers(0, n, size=trials * m, dtype=np.int64)
     total = np.zeros(trials * n, dtype=np.int64)

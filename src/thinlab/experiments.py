@@ -11,6 +11,7 @@ written as 0 in the default stable mode).
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
 import time
@@ -20,7 +21,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .core import (ConfigError, TrialResult, make_pools, mix_seed, run_trial)
+from .core import (ConfigError, TrialResult, make_pools, mix_seed,
+                   require_memory, run_trial, trial_int64s)
 from .strategies import make_strategy
 from .theory import beta_sequence, ell
 
@@ -106,12 +108,6 @@ class AggregateResult:
             "runtime_ms": self.runtime_ms if include_runtime else 0.0,
         }
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "AggregateResult":
-        fields = dict(data)
-        fields["r_means"] = tuple(fields["r_means"])
-        return cls(**fields)
-
 
 def nearest_rank(sorted_values, pct: float):
     """Nearest-rank percentile: the ceil(pct/100 * N)-th smallest value."""
@@ -171,6 +167,10 @@ def run_experiment(config: ExperimentConfig, keep_trials: bool = False):
     if config.n is None:
         raise ConfigError("run_experiment needs a single n (use sweep for grids)")
     m = balls_from_rho(config.rho, config.n)
+    concurrent = min(config.threads, config.trials)
+    require_memory(concurrent * trial_int64s(config.n, config.d, m),
+                   f"an experiment with n={config.n}, d={config.d}, m={m} "
+                   f"on {concurrent} thread(s)")
     strategy = make_strategy(config.strategy, config.n, config.d)
     start = time.perf_counter()
 
@@ -216,7 +216,8 @@ def run_greedy_d_choice(n: int, d: int, m: int, seed: int) -> TrialResult:
         raise ConfigError(f"ball count must be >= 0, got {m}")
     pools, _ = make_pools(n, d, seed)
     start = time.perf_counter()
-    columns = [pools[i].take(m).tolist() for i in range(d)]
+    draws = [pool.take(m) for pool in pools]
+    columns = [draw.tolist() for draw in draws]
     loads = [0] * n
     if d == 1:
         for b in columns[0]:
@@ -237,6 +238,8 @@ def run_greedy_d_choice(n: int, d: int, m: int, seed: int) -> TrialResult:
     loads_arr = np.asarray(loads, dtype=np.int64)
     counts = np.bincount(loads_arr)
     histogram = {int(v): int(c) for v, c in enumerate(counts) if c > 0}
+    offered = np.zeros(n, dtype=bool)
+    offered[draws[0]] = True
     zeros = [0] * (d - 1)
     return TrialResult(
         n=n, d=d, m=m,
@@ -246,7 +249,7 @@ def run_greedy_d_choice(n: int, d: int, m: int, seed: int) -> TrialResult:
         histogram=histogram,
         rejection_counters=tuple([m] + zeros),
         phi=int((loads_arr > 0).sum()),
-        psi=int(np.unique(np.asarray(columns[0], dtype=np.int64)).size) if m else 0,
+        psi=int(offered.sum()),
         chosen_counts=tuple([m] + zeros),
         round_load_max=tuple([int(loads_arr.max())] + zeros),
         wall_ms=wall_ms,
@@ -283,43 +286,40 @@ def _csv_row(r: AggregateResult, include_runtime: bool) -> list[str]:
     return [_format_value(v) for v in row]
 
 
-def emit(results, fmt: str, path, include_runtime: bool = False) -> None:
-    """Write aggregates as csv, json or plotdata; bytes depend only on inputs.
+def format_results(results, fmt: str, include_runtime: bool = False) -> str:
+    """Render aggregates as csv, json or plotdata text; depends only on inputs.
 
     Wall-clock runtime is suppressed (written as 0) unless include_runtime
-    is set, so identical configs always reproduce identical files.
+    is set, so identical configs always reproduce identical text.
     """
     if isinstance(results, AggregateResult):
         results = [results]
     if not results:
-        raise ConfigError("emit needs at least one result")
+        raise ConfigError("output needs at least one result")
+    if fmt == "csv":
+        d = results[0].d
+        if any(r.d != d for r in results):
+            raise ConfigError("csv output needs a single d across rows")
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(csv_header(d))
+        writer.writerows(_csv_row(r, include_runtime) for r in results)
+        return buf.getvalue()
+    if fmt == "json":
+        payload = [r.to_dict(include_runtime) for r in results]
+        return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    if fmt == "plotdata":
+        return "# n maxload_mean d_ell\n" + "".join(
+            f"{r.n} {_format_value(r.maxload_mean)} {_format_value(r.d * r.ell)}\n"
+            for r in results)
+    raise ConfigError(f"unknown output format {fmt!r}")
+
+
+def emit(results, fmt: str, path, include_runtime: bool = False) -> None:
+    """Write `format_results(results, fmt, include_runtime)` to path."""
+    text = format_results(results, fmt, include_runtime)
     try:
-        if fmt == "csv":
-            d = results[0].d
-            if any(r.d != d for r in results):
-                raise ConfigError("csv output needs a single d across rows")
-            with open(path, "w", newline="") as f:
-                writer = csv.writer(f, lineterminator="\n")
-                writer.writerow(csv_header(d))
-                for r in results:
-                    writer.writerow(_csv_row(r, include_runtime))
-        elif fmt == "json":
-            payload = [r.to_dict(include_runtime) for r in results]
-            with open(path, "w", newline="\n") as f:
-                f.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
-        elif fmt == "plotdata":
-            with open(path, "w", newline="\n") as f:
-                f.write("# n maxload_mean d_ell\n")
-                for r in results:
-                    f.write(f"{r.n} {_format_value(r.maxload_mean)} "
-                            f"{_format_value(r.d * r.ell)}\n")
-        else:
-            raise ConfigError(f"unknown output format {fmt!r}")
+        with open(path, "w", newline="") as f:
+            f.write(text)
     except OSError as exc:
         raise OSError(f"cannot write {fmt} output to {path}: {exc}") from exc
-
-
-def load_results_json(path) -> list[AggregateResult]:
-    with open(path) as f:
-        payload = json.load(f)
-    return [AggregateResult.from_dict(item) for item in payload]

@@ -18,7 +18,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import ConfigError, mix_seed, new_state, run_trial, simulate_max_load_counts
+from .core import (ConfigError, new_state, per_trial_max_load_counts,
+                   simulate_max_load_counts)
 
 DEFAULT_NODE_BUDGET = 10 ** 7
 
@@ -46,10 +47,6 @@ class ExactDistribution:
     m: int
     strategy: object
     masses: dict[int, Fraction]
-
-    @property
-    def strategy_name(self) -> str:
-        return self.strategy.name
 
     def total_mass(self) -> Fraction:
         return sum(self.masses.values(), Fraction(0))
@@ -79,9 +76,7 @@ def exact_distribution(n: int, d: int, m: int, strategy,
             top = int(state.loads.max())
             masses[top] = masses.get(top, Fraction(0)) + weight
             return
-        walk_round(1, weight)
-
-        # nothing else: walk_round recurses into the next ball on acceptance
+        walk_round(1, weight)  # which recurses into the next ball on acceptance
 
     def walk_round(i: int, weight: Fraction) -> None:
         nonlocal nodes
@@ -91,30 +86,24 @@ def exact_distribution(n: int, d: int, m: int, strategy,
             if nodes > node_budget:
                 raise OracleBudgetExceeded(
                     f"decision tree exceeds the {node_budget}-node budget")
-            if i == state.d or strategy.decide(i, b, state, aux):
+            accepted = i == state.d or strategy.decide(i, b, state, aux)
+            if i == 1:
+                prior_psi = bool(state.psi_seen[b])
+                state.psi_seen[b] = True
+            if accepted:
                 state.loads[b] += 1
                 state.round_loads[i - 1][b] += 1
                 state.rejection_counters[:i] += 1
-                state.draws_used[:i] += 1
-                prior_psi = bool(state.psi_seen[b]) if i == 1 else True
-                if i == 1:
-                    state.psi_seen[b] = True
                 state.t += 1
                 walk_ball(state.t, branch_weight)
                 state.t -= 1
-                if i == 1:
-                    state.psi_seen[b] = prior_psi
-                state.draws_used[:i] -= 1
                 state.rejection_counters[:i] -= 1
                 state.round_loads[i - 1][b] -= 1
                 state.loads[b] -= 1
             else:
-                prior_psi = bool(state.psi_seen[b]) if i == 1 else True
-                if i == 1:
-                    state.psi_seen[b] = True
                 walk_round(i + 1, branch_weight)
-                if i == 1:
-                    state.psi_seen[b] = prior_psi
+            if i == 1:
+                state.psi_seen[b] = prior_psi
 
     walk_ball(0, Fraction(1))
     return ExactDistribution(n=n, d=d, m=m, strategy=strategy, masses=masses)
@@ -176,10 +165,7 @@ def compare_empirical(dist: ExactDistribution, trials: int, seed: int = 0,
     if batched:
         counts = simulate_max_load_counts(dist.n, dist.d, dist.m, strategy, trials, seed)
     else:
-        counts = {}
-        for trial in range(trials):
-            res = run_trial(dist.n, dist.d, dist.m, strategy, mix_seed(seed, trial))
-            counts[res.max_load] = counts.get(res.max_load, 0) + 1
+        counts = per_trial_max_load_counts(dist.n, dist.d, dist.m, strategy, trials, seed)
 
     atoms = []
     support = set(dist.masses) | set(counts)

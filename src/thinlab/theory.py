@@ -161,10 +161,6 @@ class PoissonizationReport:
     se_poisson: float
     passed: bool
 
-    @property
-    def doubled_poisson(self) -> float:
-        return 2.0 * self.p_poisson
-
 
 def _event_rate(matrix: np.ndarray, event) -> int:
     return sum(1 for row in matrix if event(row))
@@ -306,33 +302,4 @@ def lower_bound_sequences(n: float, d: int, rho: float, eps: float,
         gamma=tuple(gamma_vals),
         gamma_closed=gamma_closed,
         theta_closed=tuple(theta_closed),
-    )
-
-
-@dataclass(frozen=True)
-class TheoryParams:
-    """Predicted quantities for one (n, d, rho) configuration."""
-
-    n: int
-    d: int
-    rho: float
-    ell: float
-    cap: int
-    predicted_max: float
-    beta_seq: tuple[float, ...]
-    rho_seq: tuple[float, ...]
-
-
-def theory_params(n: int, d: int, rho: float) -> TheoryParams:
-    l = ell(n, d)
-    betas = beta_sequence(n, d, rho).values
-    return TheoryParams(
-        n=n,
-        d=d,
-        rho=rho,
-        ell=l,
-        cap=math.floor(l),
-        predicted_max=d * l,
-        beta_seq=betas,
-        rho_seq=tuple(b / n for b in betas),
     )

@@ -30,11 +30,17 @@ class TestRunCommand:
         assert run_cli(*args, "--out", str(out2)) == 0
         assert out1.read_bytes() == out2.read_bytes()
 
-    def test_stdout_when_no_out(self, capsys):
-        assert run_cli("run", "--n", "50", "--d", "2", "--trials", "2",
-                       "--seed", "1") == 0
-        captured = capsys.readouterr()
-        assert captured.out.startswith("n,d,rho,m,strategy,")
+    @pytest.mark.parametrize("fmt", ["csv", "json", "plotdata"])
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    def test_stdout_when_no_out(self, capsys, tmp_path, command, fmt):
+        size = ("--n", "50") if command == "run" else ("--n-grid", "50,80")
+        args = (command, *size, "--d", "2", "--trials", "2", "--seed", "1",
+                "--format", fmt)
+        out = tmp_path / "out"
+        assert run_cli(*args, "--out", str(out)) == 0
+        capsys.readouterr()
+        assert run_cli(*args) == 0
+        assert capsys.readouterr().out.encode() == out.read_bytes()
 
     def test_json_format(self, tmp_path):
         out = tmp_path / "run.json"
@@ -111,6 +117,15 @@ class TestTheoryCommand:
         assert float(cols["ell"]) == pytest.approx(3.243906396180841, rel=1e-12)
         assert cols["cap"] == "3"
         assert float(cols["beta_2"]) == pytest.approx(243352.91184789807, rel=1e-12)
+
+    def test_tail_rows_are_rates(self, capsys):
+        assert run_cli("theory", "--n", "1000000", "--d", "3", "--eps", "0.75",
+                       "--format", "csv") == 0
+        header = capsys.readouterr().out.split("\n")[0].split(",")
+        assert header[:11] == ["n", "d", "rho", "ell", "cap", "d_ell", "eps",
+                               "upper_load", "lower_load", "upper_tail_rate",
+                               "lower_tail_rate"]
+        assert header[11:] == ["beta_1", "beta_2", "beta_3"]
 
     def test_text_table(self, capsys):
         assert run_cli("theory", "--n", "1000000", "--d", "3") == 0

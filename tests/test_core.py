@@ -2,15 +2,18 @@
 
 import json
 import math
+import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from thinlab.core import (ConfigError, DecisionRecord, PoolExhausted,
-                          ReplayBinPool, ReplayFloatPool, UniformBinPool,
+from thinlab import core
+from thinlab.core import (ConfigError, DecisionRecord, Pool, PoolExhausted,
                           induced_view, make_pools, max_load, mix_seed,
                           new_state, occurrence_rank, phi, psi, run_trial,
                           simulate_max_load_counts, step, write_trace)
+from thinlab.experiments import ExperimentConfig, run_experiment
 from thinlab.strategies import AlwaysAccept, BetaThinning, ThresholdStrategy
 
 
@@ -44,7 +47,7 @@ class TestStep:
     def test_hand_trace_two_balls(self):
         # primaries 0,0 with cap 0: second ball is pushed to its secondary 0
         state = new_state(2, 2)
-        pools = [ReplayBinPool([0, 0]), ReplayBinPool([0])]
+        pools = [Pool.replay([0, 0]), Pool.replay([0])]
         strat = cap0_threshold()
 
         rec1 = step(state, strat, pools)
@@ -60,20 +63,20 @@ class TestStep:
 
     def test_single_bin_always_lands_zero(self):
         state = new_state(1, 2)
-        pools = [ReplayBinPool([0]), ReplayBinPool([0])]
+        pools = [Pool.replay([0]), Pool.replay([0])]
         rec = step(state, cap0_threshold(), pools)
         assert rec.final == 0
 
     def test_d1_is_one_choice(self):
         state = new_state(4, 1)
-        pools = [ReplayBinPool([2, 2, 3])]
+        pools = [Pool.replay([2, 2, 3])]
         recs = [step(state, cap0_threshold(), pools) for _ in range(3)]
         assert all(r.chosen == 1 for r in recs)
         assert state.loads.tolist() == [0, 0, 2, 1]
 
     def test_pool_exhaustion_propagates(self):
         state = new_state(2, 2)
-        pools = [ReplayBinPool([0]), ReplayBinPool([])]
+        pools = [Pool.replay([0]), Pool.replay([])]
         step(state, cap0_threshold(), pools)
         with pytest.raises(PoolExhausted):
             step(state, cap0_threshold(), pools)  # primary 0 again, round 2 pool empty
@@ -113,7 +116,7 @@ class TestSubsetStats:
 
     def test_psi_counts_primary_offers(self):
         state = new_state(2, 2)
-        pools = [ReplayBinPool([0, 0]), ReplayBinPool([0])]
+        pools = [Pool.replay([0, 0]), Pool.replay([0])]
         step(state, cap0_threshold(), pools)
         step(state, cap0_threshold(), pools)
         assert psi(state) == 1
@@ -226,7 +229,7 @@ class TestProcessInvariants:
 class TestInducedView:
     def trace(self):
         state = new_state(2, 2)
-        pools = [ReplayBinPool([0, 0]), ReplayBinPool([0])]
+        pools = [Pool.replay([0, 0]), Pool.replay([0])]
         strat = cap0_threshold()
         return [step(state, strat, pools) for _ in range(2)]
 
@@ -262,30 +265,88 @@ class TestInducedView:
             induced_view([], 4, d=3)
 
 
+REPLAY_VALUES = pytest.mark.parametrize(
+    "values,dtype", [([1, 2], np.int64), ([0.25, 0.75], np.float64)], ids=["int", "float"])
+
+
 class TestPools:
-    def test_take_and_next_agree(self):
-        pools_a, _ = make_pools(10, 1, seed=5)
-        pools_b, _ = make_pools(10, 1, seed=5)
-        via_take = pools_a[0].take(500).tolist()
-        via_next = [pools_b[0].next() for _ in range(500)]
-        assert via_take == via_next
+    # take sizes around and across the 2**16-value refill, each followed by next()
+    SIZES = (0, 1, 7, 65_535, 0, 3, 70_001, 1, 65_536, 131_073)
+
+    @pytest.mark.parametrize("stream", ["bins", "aux"])
+    def test_take_and_next_agree(self, stream):
+        def fresh():
+            pools, aux = make_pools(10, 1, seed=5)
+            return pools[0] if stream == "bins" else aux
+
+        pool, mixed = fresh(), []
+        for k in self.SIZES:
+            mixed += pool.take(k).tolist()
+            mixed.append(pool.next())
+        assert pool.consumed == len(mixed)
+        assert type(mixed[-1]) is (int if stream == "bins" else float)
+        reference = fresh()
+        via_next = [reference.next() for _ in mixed]
+        assert mixed == fresh().take(len(mixed)).tolist() == via_next
 
     def test_round_streams_differ(self):
         pools, _ = make_pools(1000, 2, seed=5)
         assert pools[0].take(50).tolist() != pools[1].take(50).tolist()
 
-    def test_replay_exhaustion(self):
-        pool = ReplayBinPool([1, 2])
-        assert pool.take(2).tolist() == [1, 2]
+    @REPLAY_VALUES
+    def test_replay_exhaustion(self, values, dtype):
+        pool = Pool.replay(values, dtype)
+        assert pool.take(2).tolist() == values
         with pytest.raises(PoolExhausted):
             pool.next()
 
-    def test_replay_float_pool(self):
-        pool = ReplayFloatPool([0.25, 0.75])
-        assert pool.next() == 0.25
-        assert pool.take(1).tolist() == [0.75]
+    @REPLAY_VALUES
+    def test_replay_next_then_take(self, values, dtype):
+        pool = Pool.replay(values, dtype)
+        assert pool.next() == values[0]
+        assert pool.take(1).tolist() == values[1:]
+        assert pool.consumed == 2
         with pytest.raises(PoolExhausted):
             pool.take(1)
+
+
+class TestMemoryRefusal:
+    """Runs that cannot fit are refused before any array is allocated.
+
+    The memory figure is patched down, so every config here is small.
+    """
+
+    @pytest.fixture
+    def memory(self, monkeypatch):
+        def set_bytes(value):
+            monkeypatch.setattr(core, "MEMORY_BYTES", value)
+        return set_bytes
+
+    def test_figure_is_at_most_physical_memory(self):
+        physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+        assert 0 < core.MEMORY_BYTES <= physical
+
+    def test_run_trial_refused(self, memory):
+        memory(10**6)
+        with pytest.raises(ConfigError, match=r"n=100000, d=3.* needs about [\d,]+ MB"):
+            run_trial(10**5, 3, 10**5, AlwaysAccept(), seed=0)
+
+    def test_small_trial_still_runs(self, memory):
+        memory(10**6)
+        assert run_trial(1000, 2, 1000, AlwaysAccept(), seed=0).m == 1000
+
+    def test_run_experiment_counts_concurrent_trials(self, memory):
+        memory(120_000)  # one n = m = 1000, d = 2 trial fits, two at once do not
+        config = ExperimentConfig(n=1000, d=2, strategy="always-accept", trials=2)
+        assert run_experiment(config).trials == 2
+        with pytest.raises(ConfigError, match=r"on 2 thread\(s\)"):
+            run_experiment(replace(config, threads=2))
+        assert run_experiment(replace(config, threads=2, trials=1)).trials == 1
+
+    def test_batched_counts_refused(self, memory):
+        memory(10**6)
+        with pytest.raises(ConfigError, match="batched trials"):
+            simulate_max_load_counts(4, 2, 4, ThresholdStrategy(1.5), 10**5, seed=0)
 
 
 class TestHelpers:

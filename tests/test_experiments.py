@@ -10,8 +10,8 @@ import pytest
 from thinlab.core import ConfigError, mix_seed, run_trial
 from thinlab.experiments import (AggregateResult, ExperimentConfig,
                                  balls_from_rho, csv_header, emit,
-                                 load_results_json, nearest_rank,
-                                 run_experiment, run_greedy_d_choice, sweep)
+                                 nearest_rank, run_experiment,
+                                 run_greedy_d_choice, sweep)
 from thinlab.strategies import AlwaysAccept
 from thinlab.theory import ell
 
@@ -230,10 +230,10 @@ class TestEmit:
 
     def test_json_round_trip(self, tmp_path):
         path = tmp_path / "out.json"
-        original = self.agg()
-        emit([original, self.agg(n=200, m=200)], "json", path)
-        loaded = load_results_json(path)
-        assert loaded == [original, self.agg(n=200, m=200)]
+        results = [self.agg(), self.agg(n=200, m=200)]
+        emit(results, "json", path)
+        with open(path) as f:
+            assert json.load(f) == [r.to_dict() for r in results]
 
     def test_plotdata_triplets(self, tmp_path):
         path = tmp_path / "out.dat"

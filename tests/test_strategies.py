@@ -117,19 +117,19 @@ class TestBetaThinning:
     def test_scripted_permissions(self):
         # first ball into bin 0; second primary 0 again: count 1 > cap 0, but
         # permission denied (u >= beta) forces acceptance
-        from thinlab.core import ReplayBinPool, ReplayFloatPool
+        from thinlab.core import Pool
 
         state = new_state(2, 2)
-        pools = [ReplayBinPool([0, 0]), ReplayBinPool([1])]
-        aux = ReplayFloatPool([0.9, 0.9])  # both coins deny permission (beta=0.5)
+        pools = [Pool.replay([0, 0]), Pool.replay([1])]
+        aux = Pool.replay([0.9, 0.9], float)  # both coins deny permission (beta=0.5)
         strat = BetaThinning(0.5, cap=0)
         step(state, strat, pools, aux)
         step(state, strat, pools, aux)
         assert state.loads.tolist() == [2, 0]
 
         state = new_state(2, 2)
-        pools = [ReplayBinPool([0, 0]), ReplayBinPool([1])]
-        aux = ReplayFloatPool([0.9, 0.1])  # second coin grants permission
+        pools = [Pool.replay([0, 0]), Pool.replay([1])]
+        aux = Pool.replay([0.9, 0.1], float)  # second coin grants permission
         step(state, strat, pools, aux)
         step(state, strat, pools, aux)
         assert state.loads.tolist() == [1, 1]

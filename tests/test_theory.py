@@ -12,7 +12,7 @@ import pytest
 from thinlab.theory import (beta_sequence, ell, ell_relation, lemma_max_bound,
                             lemma_nonempty_bound, lower_bound_sequences,
                             lower_tail_probability, poissonization_bound_check,
-                            predicted_bounds, predicted_max, theory_params,
+                            predicted_bounds, predicted_max,
                             upper_tail_probability)
 
 # mpmath @ 40 dps
@@ -201,13 +201,13 @@ class TestPoissonization:
     def test_always_false_event(self):
         report = poissonization_bound_check(5, 1.0, lambda row: False, trials=200, seed=1)
         assert report.p_multinomial == 0.0
-        assert report.doubled_poisson == 0.0
+        assert report.p_poisson == 0.0
         assert report.passed
 
     def test_always_true_event(self):
         report = poissonization_bound_check(5, 1.0, lambda row: True, trials=200, seed=1)
         assert report.p_multinomial == 1.0
-        assert report.doubled_poisson == 2.0
+        assert report.p_poisson == 1.0
         assert report.passed
 
     def test_max_load_two_event(self):
@@ -265,12 +265,3 @@ class TestLowerBoundSequences:
         assert len(casc.s) == 1 and casc.gamma == ()
         assert casc.theta[0] == pytest.approx(2.0 / casc.s[0], rel=1e-12)
 
-
-class TestTheoryParams:
-    def test_fields_consistent(self):
-        params = theory_params(10**6, 2, 1.0)
-        assert params.ell == pytest.approx(ELL_1E6_D2, rel=1e-12)
-        assert params.cap == 3
-        assert params.predicted_max == pytest.approx(2 * ELL_1E6_D2, rel=1e-12)
-        assert params.beta_seq[1] == pytest.approx(BETA2_1E6_D2_RHO1, rel=1e-12)
-        assert params.rho_seq[0] == 1.0
