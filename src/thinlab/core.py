@@ -55,11 +55,33 @@ MEMORY_BYTES = _memory_bytes()
 def trial_int64s(n: int, d: int, m: int) -> int:
     """Estimated int64 values one trial holds at its peak.
 
-    The state's d+1 n-length rows plus two n-length temporaries, and about
-    five m-length arrays in a round (the take, the strategy's ranks and
-    masks, the accepted suggestions).
+    The state's d+1 n-length rows plus one n-length temporary; at most nine
+    m-length arrays while a round ranks every ball (the take, the coins, the
+    ranked indices and values, `occurrence_rank`'s order, sorted copy and two
+    rank arrays, and its group starts and lengths, at most one pair per two
+    ranked balls); and one block in each of the d+1 pools.
     """
-    return (d + 3) * n + 5 * m
+    return (d + 2) * n + 9 * m + (d + 1) * _CHUNK
+
+
+def batched_int64s(n: int, m: int, trials: int) -> int:
+    """Estimated int64 values `simulate_max_load_counts` holds at its peak.
+
+    Per trial: the bin totals and one bincount of them; the trial indices,
+    suggestions and keys, the coins, and the seven arrays a ranking of every
+    key takes (as in `trial_int64s`).  Plus the aux pool's block.
+    """
+    return trials * (2 * n + 11 * m) + _CHUNK
+
+
+def greedy_int64s(n: int, d: int, m: int) -> int:
+    """Estimated int64 values `experiments.run_greedy_d_choice` holds at its peak.
+
+    Per ball and offer, the int64 take and its Python list (a pointer and an
+    int object, five int64s); per bin, the list of loads, its int64 copy and
+    the bool temporaries; and one block in each of the d pools.
+    """
+    return 6 * d * m + 3 * n + d * _CHUNK
 
 
 def require_memory(int64s: int, what: str) -> None:
@@ -414,8 +436,8 @@ def simulate_max_load_counts(n: int, d: int, m: int, strategy, trials: int,
     """
     if strategy.accept_mask is None:
         return per_trial_max_load_counts(n, d, m, strategy, trials, seed)
-    # per trial: bin totals and their bincount, about nine m-length key arrays
-    require_memory(trials * (2 * n + 9 * m), f"{trials} batched trials with n={n}, d={d}, m={m}")
+    require_memory(batched_int64s(n, m, trials),
+                   f"{trials} batched trials with n={n}, d={d}, m={m}")
     rng = _generator(seed, POOL_TAG, 0)
     aux = _aux_pool(seed)
     trial_of = np.repeat(np.arange(trials, dtype=np.int64), m)
@@ -484,10 +506,26 @@ def occurrence_rank(values: np.ndarray) -> np.ndarray:
     s = values[order]
     starts = np.flatnonzero(np.r_[True, s[1:] != s[:-1]]) if s.size else np.empty(0, np.int64)
     grp_len = np.diff(np.append(starts, s.size))
-    ranks_sorted = np.arange(s.size, dtype=np.int64) - np.repeat(starts, grp_len)
+    ranks_sorted = np.arange(s.size, dtype=np.int64)
+    ranks_sorted -= np.repeat(starts, grp_len)
     out = np.empty(s.size, dtype=np.int64)
     out[order] = ranks_sorted
     return out
+
+
+def within_first(values: np.ndarray, k: int) -> np.ndarray:
+    """Mask of the elements among the first k occurrences of their value.
+
+    Equal to `occurrence_rank(values) < k`, but only the elements whose value
+    occurs more than k times are ranked; every other element is in.  Values
+    must be non-negative integers: one bincount over 0..max(values) finds the
+    values that occur more than k times.
+    """
+    over = np.flatnonzero((np.bincount(values) > k)[values])
+    mask = np.ones(values.size, dtype=bool)
+    if over.size:
+        mask[over] = occurrence_rank(values[over]) < k
+    return mask
 
 
 def write_trace(records: Sequence[DecisionRecord], path) -> None:

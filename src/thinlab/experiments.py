@@ -21,7 +21,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .core import (ConfigError, TrialResult, make_pools, mix_seed,
+from .core import (ConfigError, TrialResult, greedy_int64s, make_pools, mix_seed,
                    require_memory, run_trial, trial_int64s)
 from .strategies import make_strategy
 from .theory import beta_sequence, ell
@@ -214,6 +214,7 @@ def run_greedy_d_choice(n: int, d: int, m: int, seed: int) -> TrialResult:
     """
     if m < 0:
         raise ConfigError(f"ball count must be >= 0, got {m}")
+    require_memory(greedy_int64s(n, d, m), f"a greedy trial with n={n}, d={d}, m={m}")
     pools, _ = make_pools(n, d, seed)
     start = time.perf_counter()
     draws = [pool.take(m) for pool in pools]

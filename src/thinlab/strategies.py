@@ -17,7 +17,7 @@ import math
 
 import numpy as np
 
-from .core import ConfigError, occurrence_rank
+from .core import ConfigError, within_first
 from .theory import ell
 
 
@@ -67,7 +67,7 @@ class ThresholdStrategy(Strategy):
     def accept_mask(self, i, suggestions, aux):
         # Sequentially exact: a bin's first cap+1 round-i offers are the
         # accepted ones, every later offer sees count > cap.
-        return occurrence_rank(suggestions) <= self.cap
+        return within_first(suggestions, self.cap + 1)
 
 
 class BetaThinning(Strategy):
@@ -102,7 +102,7 @@ class BetaThinning(Strategy):
         if i != 1:
             return np.ones(suggestions.size, dtype=bool)
         u = aux.take(suggestions.size)
-        return (occurrence_rank(suggestions) <= self.cap) | (u >= self.beta)
+        return within_first(suggestions, self.cap + 1) | (u >= self.beta)
 
 
 def threshold_for(n: int, d: int) -> ThresholdStrategy:

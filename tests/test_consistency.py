@@ -10,7 +10,7 @@ import pytest
 
 from thinlab.core import make_pools, run_trial, simulate_max_load_counts
 from thinlab.oracle import compare_empirical, exact_distribution
-from thinlab.strategies import BetaThinning, ThresholdStrategy
+from thinlab.strategies import BetaThinning, ThresholdStrategy, threshold_for
 
 
 def naive_threshold_run(n, d, cap, m, pools):
@@ -64,7 +64,19 @@ class TestNaiveAgreement:
         (3, 3, 90, 1.0, 44), (50, 2, 800, 1.9, 45),
     ])
     def test_threshold_all_quantities(self, n, d, m, ell_value, seed):
-        strat = ThresholdStrategy(ell_value)
+        self.check_threshold(n, d, m, ThresholdStrategy(ell_value), seed)
+
+    @pytest.mark.parametrize("d,seed", [(2, 46), (3, 47)])
+    def test_threshold_sparse_regime(self, d, seed):
+        # The optimal cap at n = 20,000 is 2 for d = 2 and 3: about 2% of
+        # bins get more than cap+1 offers, so few balls are ranked, as at
+        # n = 10**6.
+        n = m = 20_000
+        reached = self.check_threshold(n, d, m, threshold_for(n, d), seed)
+        assert reached[1] < m // 20
+
+    @staticmethod
+    def check_threshold(n, d, m, strat, seed):
         engine = run_trial(n, d, m, strat, seed=seed)
         pools, _ = make_pools(n, d, seed)
         loads, counts, reached, chosen, primaries = naive_threshold_run(
@@ -77,11 +89,20 @@ class TestNaiveAgreement:
         assert engine.round_load_max == tuple(max(row) for row in counts)
         assert engine.psi == len(primaries)
         assert engine.phi == sum(1 for v in loads if v > 0)
+        return reached
 
     @pytest.mark.parametrize("beta,cap,seed", [(0.3, 0, 51), (0.7, 1, 52),
                                                (0.95, 2, 53)])
     def test_beta_thinning_all_quantities(self, beta, cap, seed):
-        n, m = 6, 300
+        self.check_beta_thinning(6, 300, beta, cap, seed)
+
+    def test_beta_thinning_sparse_regime(self):
+        n = m = 20_000
+        reached2 = self.check_beta_thinning(n, m, 0.9, 3, 54)
+        assert reached2 < m // 100
+
+    @staticmethod
+    def check_beta_thinning(n, m, beta, cap, seed):
         strat = BetaThinning(beta, cap=cap)
         engine = run_trial(n, 2, m, strat, seed=seed)
         pools, aux = make_pools(n, 2, seed)
@@ -92,6 +113,7 @@ class TestNaiveAgreement:
         assert engine.rejection_counters == (m, reached2)
         assert engine.round_load_max[0] == max(counts1)
         assert engine.psi == len(primaries)
+        return reached2
 
 
 class TestBatchedRunnerLaw:

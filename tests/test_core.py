@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -10,11 +11,14 @@ import pytest
 
 from thinlab import core
 from thinlab.core import (ConfigError, DecisionRecord, Pool, PoolExhausted,
-                          induced_view, make_pools, max_load, mix_seed,
-                          new_state, occurrence_rank, phi, psi, run_trial,
-                          simulate_max_load_counts, step, write_trace)
-from thinlab.experiments import ExperimentConfig, run_experiment
-from thinlab.strategies import AlwaysAccept, BetaThinning, ThresholdStrategy
+                          batched_int64s, greedy_int64s, induced_view,
+                          make_pools, max_load, mix_seed, new_state,
+                          occurrence_rank, phi, psi, run_trial,
+                          simulate_max_load_counts, step, trial_int64s,
+                          within_first, write_trace)
+from thinlab.experiments import ExperimentConfig, run_experiment, run_greedy_d_choice
+from thinlab.strategies import (AlwaysAccept, BetaThinning, ThresholdStrategy,
+                                threshold_for)
 
 
 def cap0_threshold():
@@ -332,11 +336,13 @@ class TestMemoryRefusal:
             run_trial(10**5, 3, 10**5, AlwaysAccept(), seed=0)
 
     def test_small_trial_still_runs(self, memory):
-        memory(10**6)
+        memory(2 * 10**6)  # the two pools' 2**16-value blocks take 1 MB
         assert run_trial(1000, 2, 1000, AlwaysAccept(), seed=0).m == 1000
 
     def test_run_experiment_counts_concurrent_trials(self, memory):
-        memory(120_000)  # one n = m = 1000, d = 2 trial fits, two at once do not
+        # one n = m = 1000, d = 2 trial (1.7 MB with its pool blocks) fits,
+        # two at once do not
+        memory(2_500_000)
         config = ExperimentConfig(n=1000, d=2, strategy="always-accept", trials=2)
         assert run_experiment(config).trials == 2
         with pytest.raises(ConfigError, match=r"on 2 thread\(s\)"):
@@ -347,6 +353,71 @@ class TestMemoryRefusal:
         memory(10**6)
         with pytest.raises(ConfigError, match="batched trials"):
             simulate_max_load_counts(4, 2, 4, ThresholdStrategy(1.5), 10**5, seed=0)
+
+    def test_greedy_refused(self, memory):
+        memory(10**6)
+        with pytest.raises(ConfigError, match=r"greedy trial with n=100000, d=2.* needs about"):
+            run_greedy_d_choice(10**5, 2, 10**5, seed=0)
+
+
+def traced_peak(run) -> int:
+    """Peak bytes traced while `run()` runs, after one untraced call.
+
+    The untraced call leaves out what only a first call allocates (numpy's
+    lazily built internals), which is not memory a run holds.
+    """
+    run()
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestMemoryEstimates:
+    """Each estimate bounds the allocation peak of the run it refuses.
+
+    Cap 0 is the worst case: nearly every ball in a round is ranked.
+    """
+
+    N = 10**5
+
+    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("ell_value", [0.5, 1.5, None])
+    def test_threshold_trial(self, d, ell_value):
+        n = self.N
+        strat = threshold_for(n, d) if ell_value is None else ThresholdStrategy(ell_value)
+        peak = traced_peak(lambda: run_trial(n, d, n, strat, seed=1))
+        assert 8 * trial_int64s(n, d, n) >= peak
+
+    @pytest.mark.parametrize("cap", [0, 3])
+    def test_beta_thinning_trial(self, cap):
+        n = self.N
+        peak = traced_peak(lambda: run_trial(n, 2, n, BetaThinning(0.9, cap), seed=1))
+        assert 8 * trial_int64s(n, 2, n) >= peak
+
+    def test_always_accept_trial(self):
+        n = self.N
+        peak = traced_peak(lambda: run_trial(n, 1, n, AlwaysAccept(), seed=1))
+        assert 8 * trial_int64s(n, 1, n) >= peak
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_greedy_trial(self, d):
+        n = self.N
+        peak = traced_peak(lambda: run_greedy_d_choice(n, d, n, seed=1))
+        assert 8 * greedy_int64s(n, d, n) >= peak
+
+    @pytest.mark.parametrize("n,d,m,strat,trials", [
+        (4, 2, 4, ThresholdStrategy(0.5), 20_000),
+        (3, 3, 3, ThresholdStrategy(0.5), 20_000),
+        (100, 2, 100, ThresholdStrategy(1.5), 1_000),
+        (4, 2, 4, BetaThinning(0.9, 0), 20_000),
+        (4, 1, 4, AlwaysAccept(), 20_000),
+    ])
+    def test_batched_counts(self, n, d, m, strat, trials):
+        peak = traced_peak(lambda: simulate_max_load_counts(n, d, m, strat, trials, seed=1))
+        assert 8 * batched_int64s(n, m, trials) >= peak
 
 
 class TestHelpers:
@@ -360,6 +431,22 @@ class TestHelpers:
                 expected.append(seen.get(v, 0))
                 seen[v] = seen.get(v, 0) + 1
             assert occurrence_rank(values).tolist() == expected
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_within_first_brute_force(self, k):
+        rng = np.random.default_rng(k)
+        cases = [np.empty(0, np.int64), np.full(9, 4),
+                 rng.choice([0, 7, 99_999, 10**6], size=40)]
+        cases += [rng.integers(0, 6, size=rng.integers(0, 40)) for _ in range(20)]
+        for values in cases:
+            seen = {}
+            expected = []
+            for v in values.tolist():
+                expected.append(seen.get(v, 0) < k)
+                seen[v] = seen.get(v, 0) + 1
+            mask = within_first(values, k)
+            assert mask.dtype == bool
+            assert mask.tolist() == expected
 
     def test_mix_seed_reference_values(self):
         assert mix_seed(0, 0) == 16294208416658607535
