@@ -2,10 +2,10 @@
 
 from .core import (AllocationState, ConfigError, DecisionRecord, Pool,
                    PoolExhausted, TrialResult, induced_view, make_pools,
-                   max_load, mix_seed, new_state, phi, psi, run_trial, step,
-                   write_trace)
+                   max_load, mix_seed, new_state, phi, psi, run_greedy_d_choice,
+                   run_trial, step, write_trace)
 from .experiments import (AggregateResult, ExperimentConfig, balls_from_rho,
-                          emit, run_experiment, run_greedy_d_choice, sweep)
+                          emit, run_experiment, sweep)
 from .oracle import (ExactDistribution, OracleBudgetExceeded, compare_empirical,
                      exact_distribution, multinomial_max_load_exact)
 from .strategies import (AlwaysAccept, BetaThinning, Strategy,

@@ -21,9 +21,8 @@ from __future__ import annotations
 import json
 import os
 import resource
-import time
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 from typing import Sequence
 
@@ -40,6 +39,16 @@ class ConfigError(ValueError):
 
 class PoolExhausted(RuntimeError):
     """A finite replay pool ran out of values."""
+
+
+def check_sizes(n: int, d: int, m: int = 0) -> None:
+    """Refuse a process with no bins, no rounds or a negative ball count."""
+    if n < 1:
+        raise ConfigError(f"bin count must be >= 1, got {n}")
+    if d < 1:
+        raise ConfigError(f"thinning depth must be >= 1, got {d}")
+    if m < 0:
+        raise ConfigError(f"ball count must be >= 0, got {m}")
 
 
 def _memory_bytes() -> int:
@@ -74,14 +83,15 @@ def batched_int64s(n: int, m: int, trials: int) -> int:
     return trials * (2 * n + 11 * m) + _CHUNK
 
 
-def greedy_int64s(n: int, d: int, m: int) -> int:
-    """Estimated int64 values `experiments.run_greedy_d_choice` holds at its peak.
+def greedy_int64s(n: int, d: int) -> int:
+    """Estimated int64 values `run_greedy_d_choice` holds at its peak.
 
-    Per ball and offer, the int64 take and its Python list (a pointer and an
-    int object, five int64s); per bin, the list of loads, its int64 copy and
-    the bool temporaries; and one block in each of the d pools.
+    Per bin, the state's d+1 rows, the list of loads and one temporary.  Per
+    offer column, eight blocks: the pool's block, one block-sized take, its
+    Python list (a pointer and an int object, about five int64s a value) and
+    one to spare.  Nothing grows with m.
     """
-    return 6 * d * m + 3 * n + d * _CHUNK
+    return (d + 3) * n + 8 * d * _CHUNK
 
 
 def require_memory(int64s: int, what: str) -> None:
@@ -203,10 +213,7 @@ class AllocationState:
 
 def new_state(n: int, d: int) -> AllocationState:
     """Fresh state for n bins and thinning depth d (no balls placed)."""
-    if n < 1:
-        raise ConfigError(f"bin count must be >= 1, got {n}")
-    if d < 1:
-        raise ConfigError(f"thinning depth must be >= 1, got {d}")
+    check_sizes(n, d)
     return AllocationState(
         n=n,
         d=d,
@@ -255,44 +262,23 @@ def step(state: AllocationState, strategy, pools, aux=None) -> DecisionRecord:
 
 
 # ---------------------------------------------------------------------------
-# subset statistics
+# statistics
 # ---------------------------------------------------------------------------
 
 
-def _check_subset(state: AllocationState, subset) -> np.ndarray:
-    # subsets are sorted index lists; strictness also rules out duplicates
-    idx = np.asarray(subset, dtype=np.int64)
-    if idx.size and (idx.min() < 0 or idx.max() >= state.n):
-        raise ValueError("subset indices out of range")
-    if idx.size > 1 and not np.all(np.diff(idx) > 0):
-        raise ValueError("subset must be a strictly increasing index list")
-    return idx
+def max_load(state: AllocationState) -> int:
+    """Maximum bin load."""
+    return int(state.loads.max())
 
 
-def max_load(state: AllocationState, subset=None) -> int:
-    """Maximum load over a non-empty subset of bins (default: all bins)."""
-    if subset is None:
-        return int(state.loads.max())
-    idx = _check_subset(state, subset)
-    if idx.size == 0:
-        raise ValueError("max_load over an empty subset is undefined")
-    return int(state.loads[idx].max())
+def phi(state: AllocationState) -> int:
+    """Number of non-empty bins."""
+    return int((state.loads > 0).sum())
 
 
-def phi(state: AllocationState, subset=None) -> int:
-    """Number of non-empty bins in the subset (default: all bins)."""
-    if subset is None:
-        return int((state.loads > 0).sum())
-    idx = _check_subset(state, subset)
-    return int((state.loads[idx] > 0).sum())
-
-
-def psi(state: AllocationState, subset=None) -> int:
-    """Number of bins in the subset ever offered as a primary suggestion."""
-    if subset is None:
-        return int(state.psi_seen.sum())
-    idx = _check_subset(state, subset)
-    return int(state.psi_seen[idx].sum())
+def psi(state: AllocationState) -> int:
+    """Number of bins ever offered as a primary suggestion."""
+    return int(state.psi_seen.sum())
 
 
 # ---------------------------------------------------------------------------
@@ -302,12 +288,7 @@ def psi(state: AllocationState, subset=None) -> int:
 
 @dataclass(frozen=True)
 class TrialResult:
-    """Summary of one completed trial.
-
-    wall_ms is observability metadata and excluded from equality and from
-    the serialised form, so identical (inputs, seed) reproduce identical
-    results byte for byte.
-    """
+    """Summary of one completed trial; identical (inputs, seed) give identical bytes."""
 
     n: int
     d: int
@@ -321,7 +302,6 @@ class TrialResult:
     psi: int
     chosen_counts: tuple[int, ...]
     round_load_max: tuple[int, ...]
-    wall_ms: float = field(compare=False, default=0.0)
 
     def to_json(self) -> str:
         payload = {
@@ -341,8 +321,7 @@ class TrialResult:
         return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
-def _result_from_state(state: AllocationState, m: int, strategy, seed: int,
-                       wall_ms: float) -> TrialResult:
+def _result_from_state(state: AllocationState, name: str, seed: int) -> TrialResult:
     counts = np.bincount(state.loads)
     histogram = {int(v): int(c) for v, c in enumerate(counts) if c > 0}
     chosen = tuple(
@@ -353,17 +332,16 @@ def _result_from_state(state: AllocationState, m: int, strategy, seed: int,
     return TrialResult(
         n=state.n,
         d=state.d,
-        m=m,
-        strategy=strategy.name,
+        m=state.t,
+        strategy=name,
         seed=seed,
-        max_load=int(state.loads.max()),
+        max_load=max_load(state),
         histogram=histogram,
         rejection_counters=tuple(int(v) for v in state.rejection_counters),
         phi=phi(state),
         psi=psi(state),
         chosen_counts=chosen,
         round_load_max=tuple(int(v) for v in state.round_loads.max(axis=1)),
-        wall_ms=wall_ms,
     )
 
 
@@ -398,23 +376,56 @@ def run_trial(n: int, d: int, m: int, strategy, seed: int,
     Returns a TrialResult, or (TrialResult, records) when collect_records is
     set (record collection forces the per-ball step path).
     """
-    if m < 0:
-        raise ConfigError(f"ball count must be >= 0, got {m}")
+    check_sizes(n, d, m)
     require_memory(trial_int64s(n, d, m), f"a trial with n={n}, d={d}, m={m}")
     state = new_state(n, d)
     pools, aux = make_pools(n, d, seed)
-    start = time.perf_counter()
-    records = []
-    if strategy.accept_mask is not None and not collect_records:
-        _run_vectorized(state, m, strategy, pools, aux)
+    if collect_records:
+        records = [step(state, strategy, pools, aux) for _ in range(m)]
+        return _result_from_state(state, strategy.name, seed), records
+    _run_vectorized(state, m, strategy, pools, aux)
+    return _result_from_state(state, strategy.name, seed)
+
+
+def _place_least_loaded(state: AllocationState, loads: list, takes: list) -> None:
+    """Place one block of balls, ball t offered takes[0][t], takes[1][t], ...
+
+    Each goes to its least-loaded offer, the lowest bin index on ties.
+    """
+    state.psi_seen[takes[0]] = True
+    columns = [take.tolist() for take in takes]
+    if len(columns) == 2:
+        for a, b in zip(*columns):
+            la, lb = loads[a], loads[b]
+            if lb < la or (lb == la and b < a):
+                a = b
+            loads[a] += 1
     else:
-        for _ in range(m):
-            record = step(state, strategy, pools, aux)
-            if collect_records:
-                records.append(record)
-    wall_ms = (time.perf_counter() - start) * 1e3
-    result = _result_from_state(state, m, strategy, seed, wall_ms)
-    return (result, records) if collect_records else result
+        for offers in zip(*columns):
+            best = min(offers, key=lambda b: (loads[b], b))
+            loads[best] += 1
+
+
+def run_greedy_d_choice(n: int, d: int, m: int, seed: int) -> TrialResult:
+    """d-choice greedy baseline: least-loaded of d fresh uniform offers.
+
+    Observes all d offers at once, which no thinning strategy may do, so it
+    is a comparison allocator rather than a Strategy.  Ball t's offers are
+    value t of each of the d round pools, taken one pool block at a time;
+    every ball counts as accepted in round 1.
+    """
+    check_sizes(n, d, m)
+    require_memory(greedy_int64s(n, d), f"a greedy trial with n={n}, d={d}, m={m}")
+    state = new_state(n, d)
+    pools, _ = make_pools(n, d, seed)
+    loads = [0] * n
+    for start in range(0, m, _CHUNK):
+        _place_least_loaded(state, loads, [pool.take(min(_CHUNK, m - start)) for pool in pools])
+    state.round_loads[0] = loads
+    state.loads = state.round_loads[0].copy()
+    state.rejection_counters[0] = m
+    state.t = m
+    return _result_from_state(state, f"greedy-{d}-choice", seed)
 
 
 def per_trial_max_load_counts(n: int, d: int, m: int, strategy, trials: int,
@@ -430,12 +441,11 @@ def simulate_max_load_counts(n: int, d: int, m: int, strategy, trials: int,
 
     Law-equivalent to running `run_trial` per trial (each trial sees i.i.d.
     uniform suggestion pools and independent strategy randomness) but runs
-    all trials through one set of array operations.  Requires a strategy
-    with a vectorised acceptance mask.  Within-trial sequential semantics
-    are preserved by tagging each suggestion with its trial index.
+    all trials through one set of array operations.  Within-trial
+    sequential semantics are preserved by tagging each suggestion with its
+    trial index.
     """
-    if strategy.accept_mask is None:
-        return per_trial_max_load_counts(n, d, m, strategy, trials, seed)
+    check_sizes(n, d, m)
     require_memory(batched_int64s(n, m, trials),
                    f"{trials} batched trials with n={n}, d={d}, m={m}")
     rng = _generator(seed, POOL_TAG, 0)

@@ -19,10 +19,8 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
-import numpy as np
-
-from .core import (ConfigError, TrialResult, greedy_int64s, make_pools, mix_seed,
-                   require_memory, run_trial, trial_int64s)
+from .core import (ConfigError, TrialResult, check_sizes, mix_seed, require_memory,
+                   run_trial, trial_int64s)
 from .strategies import make_strategy
 from .theory import beta_sequence, ell
 
@@ -167,6 +165,7 @@ def run_experiment(config: ExperimentConfig, keep_trials: bool = False):
     if config.n is None:
         raise ConfigError("run_experiment needs a single n (use sweep for grids)")
     m = balls_from_rho(config.rho, config.n)
+    check_sizes(config.n, config.d, m)
     concurrent = min(config.threads, config.trials)
     require_memory(concurrent * trial_int64s(config.n, config.d, m),
                    f"an experiment with n={config.n}, d={config.d}, m={m} "
@@ -203,58 +202,6 @@ def sweep(config: ExperimentConfig) -> list[AggregateResult]:
     for n in config.n_grid:
         out.append(run_experiment(replace(config, n=n, n_grid=())))
     return out
-
-
-def run_greedy_d_choice(n: int, d: int, m: int, seed: int) -> TrialResult:
-    """d-choice greedy baseline: least-loaded of d fresh uniform offers.
-
-    Observes all d offers at once, which no thinning strategy may do, so it
-    lives here as a comparison allocator rather than as a Strategy.  Ties go
-    to the lowest bin index.
-    """
-    if m < 0:
-        raise ConfigError(f"ball count must be >= 0, got {m}")
-    require_memory(greedy_int64s(n, d, m), f"a greedy trial with n={n}, d={d}, m={m}")
-    pools, _ = make_pools(n, d, seed)
-    start = time.perf_counter()
-    draws = [pool.take(m) for pool in pools]
-    columns = [draw.tolist() for draw in draws]
-    loads = [0] * n
-    if d == 1:
-        for b in columns[0]:
-            loads[b] += 1
-    elif d == 2:
-        col_a, col_b = columns
-        for a, b in zip(col_a, col_b):
-            la, lb = loads[a], loads[b]
-            if lb < la or (lb == la and b < a):
-                a = b
-            loads[a] += 1
-    else:
-        for offers in zip(*columns):
-            best = min(offers, key=lambda b: (loads[b], b))
-            loads[best] += 1
-    wall_ms = (time.perf_counter() - start) * 1e3
-
-    loads_arr = np.asarray(loads, dtype=np.int64)
-    counts = np.bincount(loads_arr)
-    histogram = {int(v): int(c) for v, c in enumerate(counts) if c > 0}
-    offered = np.zeros(n, dtype=bool)
-    offered[draws[0]] = True
-    zeros = [0] * (d - 1)
-    return TrialResult(
-        n=n, d=d, m=m,
-        strategy=f"greedy-{d}-choice",
-        seed=seed,
-        max_load=int(loads_arr.max()),
-        histogram=histogram,
-        rejection_counters=tuple([m] + zeros),
-        phi=int((loads_arr > 0).sum()),
-        psi=int(offered.sum()),
-        chosen_counts=tuple([m] + zeros),
-        round_load_max=tuple([int(loads_arr.max())] + zeros),
-        wall_ms=wall_ms,
-    )
 
 
 # ---------------------------------------------------------------------------

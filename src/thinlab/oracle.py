@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import (ConfigError, new_state, per_trial_max_load_counts,
+from .core import (ConfigError, check_sizes, new_state, per_trial_max_load_counts,
                    simulate_max_load_counts)
 
 DEFAULT_NODE_BUDGET = 10 ** 7
@@ -62,6 +62,7 @@ def exact_distribution(n: int, d: int, m: int, strategy,
     Practical for n <= 4, m <= 5, d <= 3 or so; the walk aborts once it has
     visited node_budget suggestion branches.
     """
+    check_sizes(n, d, m)
     if not strategy.deterministic:
         raise ConfigError(f"strategy {strategy.name!r} is randomized; the oracle only "
                           "enumerates deterministic decision rules")

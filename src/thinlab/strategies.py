@@ -22,13 +22,15 @@ from .theory import ell
 
 
 class Strategy:
-    """Base decision rule; subclasses set `name` and implement `decide`."""
+    """Base decision rule; subclasses set `name` and implement `decide` and `accept_mask`."""
 
     name = "strategy"
     deterministic = True
-    accept_mask = None  # subclasses may provide a vectorised round mask
 
     def decide(self, i: int, bin_index: int, state, aux) -> bool:
+        raise NotImplementedError
+
+    def accept_mask(self, i: int, suggestions, aux):
         raise NotImplementedError
 
 

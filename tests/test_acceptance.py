@@ -19,8 +19,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from thinlab.core import mix_seed, run_trial
-from thinlab.experiments import ExperimentConfig, emit, run_experiment, run_greedy_d_choice
+from thinlab.core import mix_seed, run_greedy_d_choice, run_trial
+from thinlab.experiments import ExperimentConfig, emit, run_experiment
 from thinlab.oracle import compare_empirical, exact_distribution
 from thinlab.strategies import AlwaysAccept, ThresholdStrategy, make_strategy
 from thinlab.theory import (beta_sequence, ell, ell_relation,

@@ -11,9 +11,8 @@ import hashlib
 
 import pytest
 
-from thinlab.core import run_trial, simulate_max_load_counts
-from thinlab.experiments import (ExperimentConfig, emit, run_experiment,
-                                 run_greedy_d_choice)
+from thinlab.core import run_greedy_d_choice, run_trial, simulate_max_load_counts
+from thinlab.experiments import ExperimentConfig, emit, run_experiment
 from thinlab.strategies import make_strategy
 
 N_GRID = (1, 2, 7, 100, 10**4, 10**5)

@@ -153,3 +153,8 @@ class TestOracleCommand:
     def test_randomized_strategy_rejected(self):
         assert run_cli("oracle", "--n", "2", "--d", "2", "--m", "2",
                        "--strategy", "beta-thinning:beta=0.5,cap=0") == 2
+
+    def test_negative_ball_count_rejected(self, capsys):
+        assert run_cli("oracle", "--n", "2", "--d", "2", "--m", "-1",
+                       "--strategy", "threshold:ell=0.5") == 2
+        assert "ball count must be >= 0" in capsys.readouterr().err

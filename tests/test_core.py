@@ -13,10 +13,10 @@ from thinlab import core
 from thinlab.core import (ConfigError, DecisionRecord, Pool, PoolExhausted,
                           batched_int64s, greedy_int64s, induced_view,
                           make_pools, max_load, mix_seed, new_state,
-                          occurrence_rank, phi, psi, run_trial,
-                          simulate_max_load_counts, step, trial_int64s,
-                          within_first, write_trace)
-from thinlab.experiments import ExperimentConfig, run_experiment, run_greedy_d_choice
+                          occurrence_rank, phi, psi, run_greedy_d_choice,
+                          run_trial, simulate_max_load_counts, step,
+                          trial_int64s, within_first, write_trace)
+from thinlab.experiments import ExperimentConfig, run_experiment
 from thinlab.strategies import (AlwaysAccept, BetaThinning, ThresholdStrategy,
                                 threshold_for)
 
@@ -93,30 +93,17 @@ class TestSubsetStats:
         state.t = int(sum(loads))
         return state
 
-    def test_max_load_subset(self):
-        state = self.make_state([3, 1, 2])
-        assert max_load(state, [1, 2]) == 2
-        assert max_load(state) == 3
+    def test_max_load_whole_state(self):
+        assert max_load(self.make_state([3, 1, 2])) == 3
 
     def test_max_load_empty_process(self):
-        assert max_load(self.make_state([0, 0]), [0, 1]) == 0
+        assert max_load(self.make_state([0, 0])) == 0
 
     def test_max_load_singleton(self):
-        assert max_load(self.make_state([5]), [0]) == 5
-
-    def test_max_load_rejects_empty_subset(self):
-        with pytest.raises(ValueError):
-            max_load(self.make_state([1, 2]), [])
-
-    def test_max_load_rejects_out_of_range(self):
-        with pytest.raises(ValueError):
-            max_load(self.make_state([1, 2]), [2])
+        assert max_load(self.make_state([5])) == 5
 
     def test_phi_counts_nonempty(self):
-        state = self.make_state([0, 2, 1])
-        assert phi(state) == 2
-        assert phi(state, [0]) == 0
-        assert phi(state, [1]) == 1
+        assert phi(self.make_state([0, 2, 1])) == 2
 
     def test_psi_counts_primary_offers(self):
         state = new_state(2, 2)
@@ -124,8 +111,6 @@ class TestSubsetStats:
         step(state, cap0_threshold(), pools)
         step(state, cap0_threshold(), pools)
         assert psi(state) == 1
-        assert psi(state, [0]) == 1
-        assert psi(state, [1]) == 0
 
 
 class TestRunTrial:
@@ -359,6 +344,33 @@ class TestMemoryRefusal:
         with pytest.raises(ConfigError, match=r"greedy trial with n=100000, d=2.* needs about"):
             run_greedy_d_choice(10**5, 2, 10**5, seed=0)
 
+    def test_long_greedy_trial_still_runs(self, memory):
+        # offers are taken one pool block at a time, so m does not count
+        memory(30 * 10**6)
+        assert run_greedy_d_choice(1000, 2, 10**6, seed=0).m == 10**6
+
+
+class TestBoundaryChecks:
+    """Every allocator refuses n < 1, d < 1 and m < 0 before estimating memory."""
+
+    @pytest.fixture(autouse=True)
+    def no_memory(self, monkeypatch):
+        # any memory estimate would now refuse with "needs about"
+        monkeypatch.setattr(core, "MEMORY_BYTES", 1)
+
+    @pytest.mark.parametrize("n,d,m,message", [
+        (0, 2, 3, "bin count"), (3, 0, 3, "thinning depth"), (3, 2, -1, "ball count")],
+        ids=["n=0", "d=0", "m=-1"])
+    def test_batched_counts(self, n, d, m, message):
+        with pytest.raises(ConfigError, match=message):
+            simulate_max_load_counts(n, d, m, AlwaysAccept(), 10, 1)
+
+    @pytest.mark.parametrize("n,d,m,message", [
+        (5, 0, 10, "thinning depth"), (0, 2, 0, "bin count")], ids=["d=0", "n=0"])
+    def test_greedy(self, n, d, m, message):
+        with pytest.raises(ConfigError, match=message):
+            run_greedy_d_choice(n, d, m, 1)
+
 
 def traced_peak(run) -> int:
     """Peak bytes traced while `run()` runs, after one untraced call.
@@ -402,11 +414,12 @@ class TestMemoryEstimates:
         peak = traced_peak(lambda: run_trial(n, 1, n, AlwaysAccept(), seed=1))
         assert 8 * trial_int64s(n, 1, n) >= peak
 
-    @pytest.mark.parametrize("d", [2, 3])
-    def test_greedy_trial(self, d):
+    @pytest.mark.parametrize("d,balls_per_bin", [(2, 1), (3, 1), (2, 10)],
+                             ids=["2", "3", "2-m=10n"])
+    def test_greedy_trial(self, d, balls_per_bin):
         n = self.N
-        peak = traced_peak(lambda: run_greedy_d_choice(n, d, n, seed=1))
-        assert 8 * greedy_int64s(n, d, n) >= peak
+        peak = traced_peak(lambda: run_greedy_d_choice(n, d, balls_per_bin * n, seed=1))
+        assert 8 * greedy_int64s(n, d) >= peak
 
     @pytest.mark.parametrize("n,d,m,strat,trials", [
         (4, 2, 4, ThresholdStrategy(0.5), 20_000),

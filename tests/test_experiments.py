@@ -7,11 +7,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from thinlab.core import ConfigError, mix_seed, run_trial
+from thinlab.core import ConfigError, mix_seed, run_greedy_d_choice, run_trial
 from thinlab.experiments import (AggregateResult, ExperimentConfig,
                                  balls_from_rho, csv_header, emit,
-                                 nearest_rank, run_experiment,
-                                 run_greedy_d_choice, sweep)
+                                 nearest_rank, run_experiment, sweep)
 from thinlab.strategies import AlwaysAccept
 from thinlab.theory import ell
 
@@ -97,6 +96,10 @@ class TestRunExperiment:
             run_experiment(self.config(trials=0))
         with pytest.raises(ConfigError):
             ExperimentConfig(n=10, d=2, rho="-1").validated()
+
+    def test_negative_bin_count(self):
+        with pytest.raises(ConfigError, match="bin count"):
+            run_experiment(self.config(n=-5, strategy="always-accept"))
 
     def test_r2_mean_tracks_trials(self):
         agg, results = run_experiment(self.config(trials=6), keep_trials=True)

@@ -65,6 +65,10 @@ class TestExactDistribution:
         dist = exact_distribution(3, 2, 3, ThresholdStrategy(5.0))
         assert dist.masses == multinomial_max_load_exact(3, 3)
 
+    def test_rejects_negative_ball_count(self):
+        with pytest.raises(ConfigError, match="ball count"):
+            exact_distribution(2, 2, -1, ThresholdStrategy(0.5))
+
     def test_rejects_randomized_strategy(self):
         with pytest.raises(ConfigError):
             exact_distribution(2, 2, 2, BetaThinning(0.5, cap=0))
