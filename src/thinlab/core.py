@@ -19,6 +19,7 @@ the consumption pattern.
 from __future__ import annotations
 
 import json
+import math
 import os
 import resource
 from collections import Counter
@@ -86,12 +87,14 @@ def batched_int64s(n: int, m: int, trials: int) -> int:
 def greedy_int64s(n: int, d: int) -> int:
     """Estimated int64 values `run_greedy_d_choice` holds at its peak.
 
-    Per bin, the state's d+1 rows, the list of loads and one temporary.  Per
-    offer column, eight blocks: the pool's block, one block-sized take, its
-    Python list (a pointer and an int object, about five int64s a value) and
-    one to spare.  Nothing grows with m.
+    Per bin, the state's d+1 rows and its two flag arrays (ψ's, and φ's at
+    the end).  Per offer entry of one sub-block (at most d·2¹⁵ entries),
+    twelve: the offers, their slots, the slot table (up to eight entries per
+    offer) and its gather, with one to spare; the sorted shared entries and
+    the parents that come after them need less.  Plus one block in each of
+    the d pools and one being drawn.  Nothing grows with m.
     """
-    return (d + 3) * n + 8 * d * _CHUNK
+    return (d + 2) * n + 6 * d * _CHUNK + (d + 1) * _CHUNK
 
 
 def require_memory(int64s: int, what: str) -> None:
@@ -387,23 +390,72 @@ def run_trial(n: int, d: int, m: int, strategy, seed: int,
     return _result_from_state(state, strategy.name, seed)
 
 
-def _place_least_loaded(state: AllocationState, loads: list, takes: list) -> None:
-    """Place one block of balls, ball t offered takes[0][t], takes[1][t], ...
+def _least_loaded(loads: np.ndarray, offers: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each ball's least-loaded offer, the lowest bin on ties, and that bin's load.
 
-    Each goes to its least-loaded offer, the lowest bin index on ties.
+    offers[j] holds offer j of every ball; loads is only read.
     """
-    state.psi_seen[takes[0]] = True
-    columns = [take.tolist() for take in takes]
-    if len(columns) == 2:
-        for a, b in zip(*columns):
-            la, lb = loads[a], loads[b]
-            if lb < la or (lb == la and b < a):
-                a = b
-            loads[a] += 1
-    else:
-        for offers in zip(*columns):
-            best = min(offers, key=lambda b: (loads[b], b))
-            loads[best] += 1
+    best = offers[0]
+    held = loads[best]
+    for offer in offers[1:]:
+        load = loads[offer]
+        # loads are integers: load < held, or load == held and offer < best
+        better = load < held + (offer < best)
+        best = np.where(better, offer, best)
+        held = np.minimum(held, load)
+    return best, held
+
+
+def _parents(offers: np.ndarray) -> np.ndarray:
+    """parents[j, t]: the latest earlier ball offered ball t's j-th bin, else B.
+
+    offers has shape (d, B).  Only the offers whose bin shares a slot with
+    another offer's are sorted by (bin, ball); every other bin is offered
+    once.  A slot is the bin's low bits, enough of them to index a table of
+    4·d·B to 8·d·B entries, so bins below that size are their own slot.  A
+    ball offered one bin twice is not its own parent.
+    """
+    d, size = offers.shape
+    flat = offers.ravel()
+    slot = flat & ((1 << (4 * flat.size).bit_length()) - 1)
+    shared = np.flatnonzero(np.bincount(slot)[slot] > 1)
+    ball = shared % size
+    order = np.argsort(flat[shared] * size + ball)
+    entry = shared[order]
+    bins = flat[entry]
+    ball = ball[order]
+    link = np.flatnonzero((bins[1:] == bins[:-1]) & (ball[1:] != ball[:-1]))
+    parents = np.full(flat.size, size, dtype=np.int64)
+    parents[entry[link + 1]] = ball[link]
+    return parents.reshape(d, size)
+
+
+def _place_least_loaded(loads: np.ndarray, offers: np.ndarray) -> None:
+    """Place one sub-block of balls, ball t offered offers[:, t], in ball order.
+
+    Each ball goes to its least-loaded offer, the lowest bin index on ties.
+    A ball's wave is 1 + the largest wave among its parents (`_parents`), 0
+    without one.  Balls of one wave share no bin, so one gather, compare and
+    scatter places a whole wave, and each bin still sees its balls in order.
+    """
+    size = offers.shape[1]
+    parents = _parents(offers)
+    # wave 0 reads the loads the sub-block starts from
+    best, held = _least_loaded(loads, offers)
+    waiting = parents.min(axis=0) < size
+    free = ~waiting
+    loads[best[free]] = held[free] + 1
+    placed = np.append(free, True)  # entry `size` stands for "no parent"
+    pending = np.flatnonzero(waiting)
+    parents = parents[:, pending]
+    while pending.size:
+        ready = placed[parents].all(axis=0)
+        wave = pending[ready]
+        best, held = _least_loaded(loads, offers[:, wave])
+        loads[best] = held + 1
+        placed[wave] = True
+        pending = pending[~ready]
+        parents = parents[:, ~ready]
 
 
 def run_greedy_d_choice(n: int, d: int, m: int, seed: int) -> TrialResult:
@@ -411,18 +463,30 @@ def run_greedy_d_choice(n: int, d: int, m: int, seed: int) -> TrialResult:
 
     Observes all d offers at once, which no thinning strategy may do, so it
     is a comparison allocator rather than a Strategy.  Ball t's offers are
-    value t of each of the d round pools, taken one pool block at a time;
-    every ball counts as accepted in round 1.
+    value t of each of the d round pools; it goes to its least-loaded offer,
+    the lowest bin index on ties, and counts as accepted in round 1.
+
+    Balls are placed in sub-blocks of B = min(2¹⁵, 16·isqrt(n)), each in
+    dependency waves: ball t depends on the latest earlier ball of its
+    sub-block offered each of t's bins, and its wave is 1 + the largest wave
+    among those balls.  A wave's balls share no bin, so each bin still sees
+    its balls in ball order and each ball reads the loads the per-ball loop
+    would read, with the same lowest-index tie-break: the result is the
+    loop's, byte for byte.  With B near 16·√n a sub-block holds about
+    (d·B)²/2n = 128·d² pairs of offers of one bin at any n, so the waves
+    stay few.  Pool takes do not depend on how they are split, so B changes
+    no drawn value.
     """
     check_sizes(n, d, m)
     require_memory(greedy_int64s(n, d), f"a greedy trial with n={n}, d={d}, m={m}")
     state = new_state(n, d)
     pools, _ = make_pools(n, d, seed)
-    loads = [0] * n
-    for start in range(0, m, _CHUNK):
-        _place_least_loaded(state, loads, [pool.take(min(_CHUNK, m - start)) for pool in pools])
-    state.round_loads[0] = loads
-    state.loads = state.round_loads[0].copy()
+    block = min(_CHUNK // 2, 16 * math.isqrt(n))
+    for start in range(0, m, block):
+        offers = np.stack([pool.take(min(block, m - start)) for pool in pools])
+        state.psi_seen[offers[0]] = True
+        _place_least_loaded(state.loads, offers)
+    state.round_loads[0] = state.loads
     state.rejection_counters[0] = m
     state.t = m
     return _result_from_state(state, f"greedy-{d}-choice", seed)

@@ -43,8 +43,6 @@ class ExperimentConfig:
     def validated(self) -> "ExperimentConfig":
         if self.trials < 1:
             raise ConfigError(f"trials must be >= 1, got {self.trials}")
-        if self.d < 1:
-            raise ConfigError(f"d must be >= 1, got {self.d}")
         if self.threads < 1:
             raise ConfigError(f"threads must be >= 1, got {self.threads}")
         if Fraction(self.rho) <= 0:

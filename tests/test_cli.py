@@ -69,6 +69,12 @@ class TestRunCommand:
     def test_bad_strategy_exit_code(self):
         assert run_cli("run", "--n", "50", "--strategy", "nope") == 2
 
+    @pytest.mark.parametrize("command,size", [("run", "--n"), ("sweep", "--n-grid")],
+                             ids=["run", "sweep"])
+    def test_zero_depth_message(self, capsys, command, size):
+        assert run_cli(command, size, "10", "--d", "0") == 2
+        assert "thinning depth must be >= 1, got 0" in capsys.readouterr().err
+
     def test_unwritable_out_exit_code(self, tmp_path):
         out = tmp_path / "no-such-dir" / "run.csv"
         assert run_cli("run", "--n", "50", "--trials", "1",

@@ -3,12 +3,13 @@
 An intentionally naive dict-based re-implementation of the process consumes
 the same suggestion streams as the engine; agreement on every tracked
 quantity guards the vectorised paths at scales the exact oracle cannot
-reach.
+reach.  Greedy d-choice is checked the same way against a per-ball loop.
 """
 
 import pytest
 
-from thinlab.core import make_pools, run_trial, simulate_max_load_counts
+from thinlab.core import (_result_from_state, make_pools, new_state, run_greedy_d_choice,
+                          run_trial, simulate_max_load_counts)
 from thinlab.oracle import compare_empirical, exact_distribution
 from thinlab.strategies import BetaThinning, ThresholdStrategy, threshold_for
 
@@ -49,6 +50,37 @@ def naive_beta_run(n, cap, beta, m, pools, aux):
             reached2 += 1
             loads[pools[1].next()] += 1
     return loads, counts1, reached2, primaries
+
+
+def naive_greedy_run(n, d, m, seed):
+    """Greedy d-choice one ball at a time, on the streams `run_greedy_d_choice` uses.
+
+    Ball t's offers are value t of each round pool; it goes to its
+    least-loaded offer, the lowest bin index on ties.
+    """
+    state = new_state(n, d)
+    pools, _ = make_pools(n, d, seed)
+    loads = [0] * n
+    block = 1 << 16
+    for start in range(0, m, block):
+        takes = [pool.take(min(block, m - start)) for pool in pools]
+        state.psi_seen[takes[0]] = True
+        columns = [take.tolist() for take in takes]
+        if d == 2:
+            for a, b in zip(*columns):
+                la, lb = loads[a], loads[b]
+                if lb < la or (lb == la and b < a):
+                    a = b
+                loads[a] += 1
+        else:
+            for offers in zip(*columns):
+                best = min(offers, key=lambda b: (loads[b], b))
+                loads[best] += 1
+    state.round_loads[0] = loads
+    state.loads = state.round_loads[0].copy()
+    state.rejection_counters[0] = m
+    state.t = m
+    return _result_from_state(state, f"greedy-{d}-choice", seed)
 
 
 def histogram_of(loads):
@@ -114,6 +146,31 @@ class TestNaiveAgreement:
         assert engine.round_load_max[0] == max(counts1)
         assert engine.psi == len(primaries)
         return reached2
+
+
+class TestGreedyAgreement:
+    """The wave kernel places every ball where the per-ball loop does."""
+
+    @staticmethod
+    def check(n, d, m, seed):
+        assert run_greedy_d_choice(n, d, m, seed).to_json() == \
+            naive_greedy_run(n, d, m, seed).to_json()
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 10])
+    def test_dense(self, n, d):
+        # few bins: waves are deep, nearly every ball repeats an offer of an
+        # earlier one (or its own), and load ties are common
+        for m in (0, 1, 37, 1000):
+            self.check(n, d, m, seed=100 * n + 10 * d + m % 7)
+
+    @pytest.mark.parametrize("n,d", [(2, 2), (10, 3)])
+    def test_dense_long(self, n, d):
+        self.check(n, d, 10**4, seed=71)
+
+    def test_sparse(self):
+        # many bins: few offers of a 5,056-ball sub-block share a bin
+        self.check(10**5, 2, 10**6, seed=72)
 
 
 class TestBatchedRunnerLaw:

@@ -101,6 +101,10 @@ class TestRunExperiment:
         with pytest.raises(ConfigError, match="bin count"):
             run_experiment(self.config(n=-5, strategy="always-accept"))
 
+    def test_zero_depth_uses_the_engine_check(self):
+        with pytest.raises(ConfigError, match="thinning depth must be >= 1, got 0"):
+            run_experiment(self.config(d=0))
+
     def test_r2_mean_tracks_trials(self):
         agg, results = run_experiment(self.config(trials=6), keep_trials=True)
         expected = sum(r.rejection_counters[1] for r in results) / 6
@@ -131,6 +135,10 @@ class TestSweep:
     def test_tiny_grid_values_rejected(self):
         with pytest.raises(ConfigError):
             sweep(ExperimentConfig(d=2, rho="1", n_grid=(2, 100)))
+
+    def test_zero_depth_uses_the_engine_check(self):
+        with pytest.raises(ConfigError, match="thinning depth must be >= 1, got 0"):
+            sweep(ExperimentConfig(d=0, rho="1", n_grid=(100,)))
 
 
 def exact_greedy2_max_dist(n, m):
