@@ -17,7 +17,7 @@ from .experiments import (ExperimentConfig, emit, format_results,
 from .oracle import OracleBudgetExceeded, exact_distribution
 from .strategies import make_strategy
 from .theory import (beta_sequence, ell, lower_tail_probability,
-                     predicted_bounds, upper_tail_probability)
+                     predicted_bounds, predicted_max, upper_tail_probability)
 
 
 def _add_run_options(p: argparse.ArgumentParser) -> None:
@@ -113,7 +113,7 @@ def cmd_theory(args) -> int:
     betas = beta_sequence(args.n, args.d, float(args.rho)).values
     rows = [
         ("n", args.n), ("d", args.d), ("rho", args.rho),
-        ("ell", l), ("cap", math.floor(l)), ("d_ell", args.d * l),
+        ("ell", l), ("cap", math.floor(l)), ("d_ell", predicted_max(args.n, args.d)),
         ("eps", args.eps),
         ("upper_load", upper), ("lower_load", lower),
         ("upper_tail_rate", upper_tail_probability(args.n, args.eps)),
@@ -138,8 +138,8 @@ def cmd_oracle(args) -> int:
         kwargs["node_budget"] = args.node_budget
     dist = exact_distribution(args.n, args.d, args.m, strategy, **kwargs)
     print("maxload,probability")
-    for value, mass in sorted(dist.masses.items()):
-        print(f"{value},{float(mass)!r}")
+    for value, mass in dist.as_floats().items():
+        print(f"{value},{mass!r}")
     return 0
 
 

@@ -25,7 +25,6 @@ import resource
 from collections import Counter
 from dataclasses import dataclass
 from functools import partial
-from typing import Sequence
 
 import numpy as np
 
@@ -77,11 +76,11 @@ def trial_int64s(n: int, d: int, m: int) -> int:
 def batched_int64s(n: int, m: int, trials: int) -> int:
     """Estimated int64 values `simulate_max_load_counts` holds at its peak.
 
-    Per trial: the bin totals and one bincount of them; the trial indices,
-    suggestions and keys, the coins, and the seven arrays a ranking of every
-    key takes (as in `trial_int64s`).  Plus the aux pool's block.
+    Per trial: the bin totals and one bincount of them; the keys, the coins
+    and the seven arrays a ranking of every key takes (as in `trial_int64s`).
+    Plus the aux pool's block.
     """
-    return trials * (2 * n + 11 * m) + _CHUNK
+    return trials * (2 * n + 9 * m) + _CHUNK
 
 
 def greedy_int64s(n: int, d: int) -> int:
@@ -307,20 +306,8 @@ class TrialResult:
     round_load_max: tuple[int, ...]
 
     def to_json(self) -> str:
-        payload = {
-            "n": self.n,
-            "d": self.d,
-            "m": self.m,
-            "strategy": self.strategy,
-            "seed": self.seed,
-            "max_load": self.max_load,
-            "histogram": {str(k): self.histogram[k] for k in sorted(self.histogram)},
-            "rejection_counters": list(self.rejection_counters),
-            "phi": self.phi,
-            "psi": self.psi,
-            "chosen_counts": list(self.chosen_counts),
-            "round_load_max": list(self.round_load_max),
-        }
+        """Every field, tuples as lists, histogram keys as strings, keys sorted."""
+        payload = dict(vars(self), histogram={str(k): c for k, c in self.histogram.items()})
         return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
@@ -505,28 +492,25 @@ def simulate_max_load_counts(n: int, d: int, m: int, strategy, trials: int,
 
     Law-equivalent to running `run_trial` per trial (each trial sees i.i.d.
     uniform suggestion pools and independent strategy randomness) but runs
-    all trials through one set of array operations.  Within-trial
-    sequential semantics are preserved by tagging each suggestion with its
-    trial index.
+    all trials through one set of array operations.  Each suggestion is the
+    key trial·n + bin, so occurrence ranks stay per trial; a rejected key
+    keeps its trial, key - key % n, and adds a fresh bin.
     """
     check_sizes(n, d, m)
     require_memory(batched_int64s(n, m, trials),
                    f"{trials} batched trials with n={n}, d={d}, m={m}")
     rng = _generator(seed, POOL_TAG, 0)
     aux = _aux_pool(seed)
-    trial_of = np.repeat(np.arange(trials, dtype=np.int64), m)
-    current = rng.integers(0, n, size=trials * m, dtype=np.int64)
+    keys = np.repeat(np.arange(0, trials * n, n, dtype=np.int64), m)
+    keys += rng.integers(0, n, size=trials * m, dtype=np.int64)
     total = np.zeros(trials * n, dtype=np.int64)
-    for i in range(1, d + 1):
-        if i < d:
-            # Offset bins by trial so occurrence ranks stay per-trial.
-            mask = strategy.accept_mask(i, trial_of * n + current, aux)
-            accepted_keys = trial_of[mask] * n + current[mask]
-            trial_of = trial_of[~mask]
-            current = rng.integers(0, n, size=int(trial_of.size), dtype=np.int64)
-        else:
-            accepted_keys = trial_of * n + current
-        total += np.bincount(accepted_keys, minlength=trials * n)
+    for i in range(1, d):
+        mask = strategy.accept_mask(i, keys, aux)
+        total += np.bincount(keys[mask], minlength=trials * n)
+        keys = keys[~mask]
+        keys -= keys % n
+        keys += rng.integers(0, n, size=keys.size, dtype=np.int64)
+    total += np.bincount(keys, minlength=trials * n)
     per_trial_max = total.reshape(trials, n).max(axis=1)
     values, freq = np.unique(per_trial_max, return_counts=True)
     return {int(v): int(c) for v, c in zip(values, freq)}
@@ -541,37 +525,6 @@ def mix_seed(base: int, index: int) -> int:
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & MASK64
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK64
     return z ^ (z >> 31)
-
-
-# ---------------------------------------------------------------------------
-# induced traces and trace dumps
-# ---------------------------------------------------------------------------
-
-
-def induced_view(records: Sequence[DecisionRecord], j: int, d: int | None = None) -> list[DecisionRecord]:
-    """Trace of the induced (d-j+1)-thinning strategy.
-
-    Keeps, in order, the balls whose first j-1 offers were rejected and
-    shifts their rounds down by j-1, so round i of the view is round i+j-1
-    of the original.  j=1 returns the records unchanged.  Pass d to also
-    validate j against the thinning depth (records alone cannot prove it).
-    """
-    if j < 1:
-        raise ValueError(f"induced round index must be >= 1, got {j}")
-    if d is not None and j > d:
-        raise ValueError(f"induced round index {j} exceeds thinning depth {d}")
-    if j == 1:
-        return list(records)
-    out = []
-    for r in records:
-        if r.chosen >= j:
-            out.append(DecisionRecord(
-                t=r.t,
-                chosen=r.chosen - (j - 1),
-                suggestions=r.suggestions[j - 1:],
-                final=r.final,
-            ))
-    return out
 
 
 def occurrence_rank(values: np.ndarray) -> np.ndarray:
@@ -600,13 +553,3 @@ def within_first(values: np.ndarray, k: int) -> np.ndarray:
     if over.size:
         mask[over] = occurrence_rank(values[over]) < k
     return mask
-
-
-def write_trace(records: Sequence[DecisionRecord], path) -> None:
-    """Dump one JSON line per ball: {t, chosen, suggestions, final}."""
-    with open(path, "w", newline="\n") as f:
-        for r in records:
-            f.write(json.dumps(
-                {"t": r.t, "chosen": r.chosen,
-                 "suggestions": list(r.suggestions), "final": r.final},
-                separators=(",", ":")) + "\n")

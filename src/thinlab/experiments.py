@@ -16,7 +16,7 @@ import json
 import math
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from fractions import Fraction
 
 from .core import (ConfigError, TrialResult, check_sizes, mix_seed, require_memory,
@@ -45,8 +45,6 @@ class ExperimentConfig:
             raise ConfigError(f"trials must be >= 1, got {self.trials}")
         if self.threads < 1:
             raise ConfigError(f"threads must be >= 1, got {self.threads}")
-        if Fraction(self.rho) <= 0:
-            raise ConfigError(f"rho must be positive, got {self.rho}")
         if self.fmt not in ("csv", "json", "plotdata"):
             raise ConfigError(f"unknown output format {self.fmt!r}")
         return self
@@ -91,18 +89,11 @@ class AggregateResult:
     runtime_ms: float = field(compare=False, default=0.0)
 
     def to_dict(self, include_runtime: bool = False) -> dict:
-        return {
-            "n": self.n, "d": self.d, "rho": self.rho, "m": self.m,
-            "strategy": self.strategy, "trials": self.trials, "seed": self.seed,
-            "maxload_mean": self.maxload_mean, "maxload_min": self.maxload_min,
-            "maxload_p50": self.maxload_p50, "maxload_p95": self.maxload_p95,
-            "maxload_p99": self.maxload_p99, "maxload_max": self.maxload_max,
-            "ell": self.ell, "ratio_to_dell": self.ratio_to_dell,
-            "r_means": list(self.r_means),
-            "phi_mean": self.phi_mean, "psi_mean": self.psi_mean,
-            "frac_r_le_beta": self.frac_r_le_beta,
-            "runtime_ms": self.runtime_ms if include_runtime else 0.0,
-        }
+        """Every field in declaration order; runtime_ms is 0.0 unless included."""
+        out = dict(vars(self), r_means=list(self.r_means))
+        if not include_runtime:
+            out["runtime_ms"] = 0.0
+        return out
 
 
 def nearest_rank(sorted_values, pct: float):
@@ -175,11 +166,8 @@ def run_experiment(config: ExperimentConfig, keep_trials: bool = False):
         return run_trial(config.n, config.d, m, strategy,
                          mix_seed(config.seed, trial_index))
 
-    if config.threads > 1:
-        with ThreadPoolExecutor(max_workers=config.threads) as pool:
-            results = list(pool.map(one, range(config.trials)))
-    else:
-        results = [one(j) for j in range(config.trials)]
+    with ThreadPoolExecutor(max_workers=config.threads) as pool:
+        results = list(pool.map(one, range(config.trials)))
 
     runtime_ms = (time.perf_counter() - start) * 1e3
     agg = aggregate(results, config, m, runtime_ms)
@@ -213,22 +201,28 @@ def _format_value(v) -> str:
     return str(v)
 
 
+_CSV_HEADS = {"phi_mean": "phi", "psi_mean": "psi"}
+
+
 def csv_header(d: int) -> list[str]:
-    head = ["n", "d", "rho", "m", "strategy", "trials", "seed",
-            "maxload_mean", "maxload_min", "maxload_p50", "maxload_p95",
-            "maxload_p99", "maxload_max", "ell", "ratio_to_dell"]
-    head += [f"r{i}_mean" for i in range(2, d + 1)]
-    head += ["phi", "psi", "frac_r_le_beta", "runtime_ms"]
+    """AggregateResult's field names in order, as the csv heads them.
+
+    r_means spreads over r2_mean..rd_mean, and `_CSV_HEADS` shortens the
+    phi and psi means.
+    """
+    head = []
+    for f in fields(AggregateResult):
+        if f.name == "r_means":
+            head += [f"r{i}_mean" for i in range(2, d + 1)]
+        else:
+            head.append(_CSV_HEADS.get(f.name, f.name))
     return head
 
 
 def _csv_row(r: AggregateResult, include_runtime: bool) -> list[str]:
-    row = [r.n, r.d, r.rho, r.m, r.strategy, r.trials, r.seed,
-           r.maxload_mean, r.maxload_min, r.maxload_p50, r.maxload_p95,
-           r.maxload_p99, r.maxload_max, r.ell, r.ratio_to_dell]
-    row += list(r.r_means)
-    row += [r.phi_mean, r.psi_mean, r.frac_r_le_beta,
-            r.runtime_ms if include_runtime else 0.0]
+    row = []
+    for name, value in r.to_dict(include_runtime).items():
+        row += value if name == "r_means" else [value]
     return [_format_value(v) for v in row]
 
 

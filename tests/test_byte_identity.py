@@ -12,7 +12,7 @@ import hashlib
 import pytest
 
 from thinlab.core import run_greedy_d_choice, run_trial, simulate_max_load_counts
-from thinlab.experiments import ExperimentConfig, emit, run_experiment
+from thinlab.experiments import ExperimentConfig, emit, run_experiment, sweep
 from thinlab.strategies import make_strategy
 
 N_GRID = (1, 2, 7, 100, 10**4, 10**5)
@@ -61,6 +61,18 @@ def batched_digest(spec, n, d):
 
 EMIT_CONFIG = ExperimentConfig(n=1000, d=3, rho="1.5", strategy="threshold",
                                trials=6, seed=11, threads=2)
+
+# Each format's departures from the result fields: several rows from a
+# sweep, a d = 1 run with no r*_mean columns, and an n = 2 run whose ell,
+# ratio_to_dell and frac_r_le_beta are NaN.
+FORMAT_RUNS = {
+    "sweep-d2": lambda: sweep(ExperimentConfig(n_grid=(3, 50, 400), d=2, rho="1",
+                                               trials=5, seed=13)),
+    "d1": lambda: run_experiment(ExperimentConfig(n=50, d=1, rho="2", trials=4, seed=7)),
+    "n2": lambda: run_experiment(ExperimentConfig(n=2, d=3, rho="1.5",
+                                                  strategy="threshold:ell=1.5",
+                                                  trials=9, seed=3)),
+}
 
 TRIAL_DIGESTS = {
     ('threshold:ell=0.5', 1): '636ad098923f13f99d3a9b51532d41e5d2c776e462fee8c1752426d748c4f4d2',
@@ -118,6 +130,24 @@ EMIT_DIGESTS = {
     'plotdata': '52c4ee1813734f1917f0eb89fb098542efbaccb21b7da7ce1a83b445cfc2fcea',
 }
 
+FORMAT_DIGESTS = {
+    'd1': {
+        'csv': '5353078dfba335697b01cef5ff5cc066f8f78dae8ee460d5ce44758b30c59802',
+        'json': '3dd7bfa0acacaa96f963a07950178cf9644f99144c2b80acaf0824fe5e800a6c',
+        'plotdata': '6c613858003fa98c445bf91997b5a3ab19b8dcd42ca408465137b3a8e8606a54',
+    },
+    'n2': {
+        'csv': '03958ac81e7c6b17c88f9563eca81c8075d94aadf11a915623d693e84ab57f15',
+        'json': 'c3e6856cd7dcadc8762931fe2da4c023b51415a650a64db9dee7e9f0fd917284',
+        'plotdata': '8890be257e497111da9dd8151a3846809b9a7e5a7c53130689cd3bfe0a0ac43b',
+    },
+    'sweep-d2': {
+        'csv': 'c0694deeeae0209bc1aa833ceda06727cbf38ce5649674cdd421c68dd20e55c5',
+        'json': '4639e4006a174d8237767d04d5eaf07a99bb8d96ca824b377234b9ee625d272a',
+        'plotdata': '9f87e46b548d5378e86c2207aa5d4dae1e1c9104c3ac44df14c24d63cd358c8a',
+    },
+}
+
 
 @pytest.mark.parametrize("spec,n", sorted(TRIAL_DIGESTS))
 def test_trial_json_bytes(spec, n):
@@ -139,4 +169,13 @@ def test_emitted_file_bytes(tmp_path):
     for fmt, digest in EMIT_DIGESTS.items():
         path = tmp_path / f"out.{fmt}"
         emit(agg, fmt, path)
+        assert sha([path.read_bytes()]) == digest, fmt
+
+
+@pytest.mark.parametrize("run", sorted(FORMAT_RUNS))
+def test_emitted_format_bytes(run, tmp_path):
+    results = FORMAT_RUNS[run]()
+    for fmt, digest in FORMAT_DIGESTS[run].items():
+        path = tmp_path / f"out.{fmt}"
+        emit(results, fmt, path)
         assert sha([path.read_bytes()]) == digest, fmt

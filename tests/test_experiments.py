@@ -94,8 +94,8 @@ class TestRunExperiment:
     def test_invalid_counts(self):
         with pytest.raises(ConfigError):
             run_experiment(self.config(trials=0))
-        with pytest.raises(ConfigError):
-            ExperimentConfig(n=10, d=2, rho="-1").validated()
+        with pytest.raises(ConfigError, match="rho must be positive"):
+            run_experiment(self.config(rho="-1"))
 
     def test_negative_bin_count(self):
         with pytest.raises(ConfigError, match="bin count"):
