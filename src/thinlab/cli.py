@@ -65,6 +65,24 @@ def build_parser() -> argparse.ArgumentParser:
 
 _CONFIG_KEYS = ("n", "d", "rho", "strategy", "trials", "seed", "threads",
                 "out", "fmt", "n_grid")
+_STRING_KEYS = ("rho", "strategy", "out", "fmt")
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _file_value(key: str, name: str, value, path: str):
+    """A config file's value for `key` (written `name` in the file), checked for type."""
+    if key == "n_grid":
+        ok, kind = isinstance(value, list) and all(map(_is_int, value)), "a list of integers"
+    elif key in _STRING_KEYS:
+        ok, kind = isinstance(value, str), "a string"
+    else:
+        ok, kind = _is_int(value), "an integer"
+    if not ok:
+        raise ConfigError(f"config key {name!r} in {path} must be {kind}, got {value!r}")
+    return tuple(value) if key == "n_grid" else value
 
 
 def _merge_config(args: argparse.Namespace) -> ExperimentConfig:
@@ -72,12 +90,14 @@ def _merge_config(args: argparse.Namespace) -> ExperimentConfig:
     if getattr(args, "config", None):
         with open(args.config) as f:
             raw = json.load(f)
+        if not isinstance(raw, dict):
+            raise ConfigError(f"config file {args.config} must hold a JSON object")
         alias = {"format": "fmt"}
-        for key, value in raw.items():
-            key = alias.get(key, key)
+        for name, value in raw.items():
+            key = alias.get(name, name)
             if key not in _CONFIG_KEYS:
                 raise ConfigError(f"unknown config key {key!r} in {args.config}")
-            file_values[key] = value
+            file_values[key] = _file_value(key, name, value, args.config)
 
     merged = {}
     for key in _CONFIG_KEYS:
@@ -87,8 +107,7 @@ def _merge_config(args: argparse.Namespace) -> ExperimentConfig:
         if cli_value is not None:
             merged[key] = cli_value
         elif key in file_values:
-            value = file_values[key]
-            merged[key] = tuple(value) if key == "n_grid" else value
+            merged[key] = file_values[key]
     return ExperimentConfig(**merged)
 
 

@@ -73,16 +73,6 @@ def trial_int64s(n: int, d: int, m: int) -> int:
     return (d + 2) * n + 9 * m + (d + 1) * _CHUNK
 
 
-def batched_int64s(n: int, m: int, trials: int) -> int:
-    """Estimated int64 values `simulate_max_load_counts` holds at its peak.
-
-    Per trial: the bin totals and one bincount of them; the keys, the coins
-    and the seven arrays a ranking of every key takes (as in `trial_int64s`).
-    Plus the aux pool's block.
-    """
-    return trials * (2 * n + 9 * m) + _CHUNK
-
-
 def greedy_int64s(n: int, d: int) -> int:
     """Estimated int64 values `run_greedy_d_choice` holds at its peak.
 
@@ -168,15 +158,15 @@ def _aux_pool(seed: int) -> Pool:
     return Pool(partial(_generator(seed, AUX_TAG).random, _CHUNK), np.empty(0, np.float64))
 
 
+def _bin_pool(n: int, *key: int) -> Pool:
+    """A stream of uniform bins on [0, n) from the generator seeded with `key`."""
+    return Pool(partial(_generator(*key).integers, 0, n, size=_CHUNK, dtype=np.int64),
+                np.empty(0, np.int64))
+
+
 def make_pools(n: int, d: int, seed: int) -> tuple[list[Pool], Pool]:
     """Build the d per-round suggestion streams (uniform on [0, n)) and the aux stream."""
-    pools = [
-        Pool(partial(_generator(seed, POOL_TAG, i).integers, 0, n, size=_CHUNK,
-                     dtype=np.int64),
-             np.empty(0, np.int64))
-        for i in range(1, d + 1)
-    ]
-    return pools, _aux_pool(seed)
+    return [_bin_pool(n, seed, POOL_TAG, i) for i in range(1, d + 1)], _aux_pool(seed)
 
 
 # ---------------------------------------------------------------------------
@@ -335,15 +325,18 @@ def _result_from_state(state: AllocationState, name: str, seed: int) -> TrialRes
     )
 
 
-def _run_vectorized(state: AllocationState, m: int, strategy, pools, aux) -> None:
-    """Whole-round path; byte-identical to the step loop for mask strategies.
+def _run_vectorized(state: AllocationState, current: np.ndarray, n: int, strategy,
+                    pools, aux) -> None:
+    """Whole-round path for trials of n bins each; byte-identical to the step loop.
 
-    Round i consumes exactly r_i pool values in one take(), applies the
-    strategy's sequential acceptance mask, and moves the rejected balls to
-    the next round.
+    `current` holds round 1's keys trial·n + bin, trial after trial, each
+    trial's balls in ball order.  Round i applies the strategy's sequential
+    acceptance mask and re-offers each rejected ball, in order, at
+    key - key % n (its trial's first key) plus a fresh bin from pools[i].  A
+    single trial's keys are its bins, so it skips that offset.
     """
     d = state.d
-    current = pools[0].take(m)
+    state.t = current.size
     state.psi_seen[current] = True
     for i in range(1, d + 1):
         state.rejection_counters[i - 1] = current.size
@@ -354,9 +347,12 @@ def _run_vectorized(state: AllocationState, m: int, strategy, pools, aux) -> Non
             accepted = current
         state.round_loads[i - 1] = np.bincount(accepted, minlength=state.n)
         if i < d:
-            current = pools[i].take(int(current.size - accepted.size))
+            fresh = pools[i].take(int(current.size - accepted.size))
+            if state.n > n:
+                rejected = current[~mask]
+                fresh += rejected - rejected % n
+            current = fresh
     state.loads = state.round_loads.sum(axis=0)
-    state.t = m
 
 
 def run_trial(n: int, d: int, m: int, strategy, seed: int,
@@ -373,7 +369,7 @@ def run_trial(n: int, d: int, m: int, strategy, seed: int,
     if collect_records:
         records = [step(state, strategy, pools, aux) for _ in range(m)]
         return _result_from_state(state, strategy.name, seed), records
-    _run_vectorized(state, m, strategy, pools, aux)
+    _run_vectorized(state, pools[0].take(m), n, strategy, pools, aux)
     return _result_from_state(state, strategy.name, seed)
 
 
@@ -490,29 +486,23 @@ def simulate_max_load_counts(n: int, d: int, m: int, strategy, trials: int,
                              seed: int) -> dict[int, int]:
     """Max-load frequency table over many trials, batched across trials.
 
-    Law-equivalent to running `run_trial` per trial (each trial sees i.i.d.
-    uniform suggestion pools and independent strategy randomness) but runs
-    all trials through one set of array operations.  Each suggestion is the
-    key trial·n + bin, so occurrence ranks stay per trial; a rejected key
-    keeps its trial, key - key % n, and adds a fresh bin.
+    Law-equivalent to running `run_trial` per trial, but one `_run_vectorized`
+    call runs every trial on a state of trials·n bins, trial t's at keys
+    t·n + bin.  Every round reads the one stream SeedSequence((seed,
+    POOL_TAG, 0)): round 1 takes trials·m values, trial after trial, and each
+    later round one per rejected ball, in (trial, ball) order.
     """
     check_sizes(n, d, m)
-    require_memory(batched_int64s(n, m, trials),
+    if trials < 1:
+        raise ConfigError(f"trial count must be >= 1, got {trials}")
+    require_memory(trial_int64s(trials * n, d, trials * m),
                    f"{trials} batched trials with n={n}, d={d}, m={m}")
-    rng = _generator(seed, POOL_TAG, 0)
-    aux = _aux_pool(seed)
-    keys = np.repeat(np.arange(0, trials * n, n, dtype=np.int64), m)
-    keys += rng.integers(0, n, size=trials * m, dtype=np.int64)
-    total = np.zeros(trials * n, dtype=np.int64)
-    for i in range(1, d):
-        mask = strategy.accept_mask(i, keys, aux)
-        total += np.bincount(keys[mask], minlength=trials * n)
-        keys = keys[~mask]
-        keys -= keys % n
-        keys += rng.integers(0, n, size=keys.size, dtype=np.int64)
-    total += np.bincount(keys, minlength=trials * n)
-    per_trial_max = total.reshape(trials, n).max(axis=1)
-    values, freq = np.unique(per_trial_max, return_counts=True)
+    state = new_state(trials * n, d)
+    pool = _bin_pool(n, seed, POOL_TAG, 0)
+    keys = pool.take(trials * m)
+    keys += np.repeat(np.arange(0, trials * n, n), m)
+    _run_vectorized(state, keys, n, strategy, [pool] * d, _aux_pool(seed))
+    values, freq = np.unique(state.loads.reshape(trials, n).max(axis=1), return_counts=True)
     return {int(v): int(c) for v, c in zip(values, freq)}
 
 

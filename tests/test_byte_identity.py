@@ -53,9 +53,10 @@ def greedy_digest(n):
     )
 
 
-def batched_digest(spec, n, d):
-    counts = simulate_max_load_counts(n, d, 3 * n, make_strategy(spec, n, d),
-                                      trials=400, seed=5)
+def batched_digest(spec, n, d, m=None, trials=400):
+    m = 3 * n if m is None else m
+    counts = simulate_max_load_counts(n, d, m, make_strategy(spec, n, d),
+                                      trials=trials, seed=5)
     return sha([repr(sorted(counts.items()))])
 
 
@@ -124,6 +125,14 @@ BATCHED_DIGESTS = {
     ('beta-thinning:beta=0.5,cap=1', 100, 2): 'ca9767234459611fbee9096450a6d54f30c93d38bd96e51de2de15897d079a61',
 }
 
+# Batched tables at other shapes, keyed (spec, n, d, m, trials): at oracle
+# scale round 1's 80,000 keys cross a 2**16 pool block and the later rounds
+# start mid-block; at d = 1 only the final round runs.
+BATCHED_SHAPE_DIGESTS = {
+    ('threshold:ell=1.5', 4, 3, 4, 20000): 'fdd08e32d5fb73c09b7ec08e593644777da51065f8b92f28b10d8bb15234025a',
+    ('always-accept', 3, 1, 9, 400): '9568bdee4ddbe6984f339676dcabedfc0ae188eb81a904a3cc41147b40488ecd',
+}
+
 EMIT_DIGESTS = {
     'csv': 'a89a1122e4ec82648cd2e11990eb913b4d3ad1f5db3b7a734083ff3a378f28cf',
     'json': '51cd80feeb5b6a00bca4e4367e62be41c41ec0d2871636beb75ffeab61aaf6fc',
@@ -162,6 +171,12 @@ def test_greedy_json_bytes(n):
 @pytest.mark.parametrize("spec,n,d", sorted(BATCHED_DIGESTS))
 def test_batched_counts(spec, n, d):
     assert batched_digest(spec, n, d) == BATCHED_DIGESTS[spec, n, d]
+
+
+@pytest.mark.parametrize("shape", sorted(BATCHED_SHAPE_DIGESTS))
+def test_batched_shape_counts(shape):
+    spec, n, d, m, trials = shape
+    assert batched_digest(spec, n, d, m, trials) == BATCHED_SHAPE_DIGESTS[shape]
 
 
 def test_emitted_file_bytes(tmp_path):

@@ -66,6 +66,25 @@ class TestRunCommand:
         config.write_text(json.dumps({"bogus": 1}))
         assert run_cli("run", "--config", str(config)) == 2
 
+    @pytest.mark.parametrize("command,values,message", [
+        ("sweep", {"n_grid": "100,1000"}, "'n_grid' in {} must be a list of integers"),
+        ("run", {"n": "100"}, "'n' in {} must be an integer"),
+        ("run", {"n": 50, "trials": 2.5}, "'trials' in {} must be an integer"),
+        ("run", {"n": True}, "'n' in {} must be an integer"),
+        ("sweep", {"n_grid": [100, 1000.5]}, "'n_grid' in {} must be a list of integers"),
+        ("run", [50, 2], "config file {} must hold a JSON object"),
+        ("run", {"n": 50, "out": 1}, "'out' in {} must be a string"),
+        ("run", {"n": 50, "format": ["csv"]}, "'format' in {} must be a string"),
+    ], ids=["grid-string", "n-string", "trials-float", "n-bool", "grid-float", "list",
+            "out-int", "format-list"])
+    def test_config_value_types(self, tmp_path, capsys, command, values, message):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(values))
+        assert run_cli(command, "--config", str(config)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("thinlab: error: ")
+        assert message.format(config) in err
+
     def test_bad_strategy_exit_code(self):
         assert run_cli("run", "--n", "50", "--strategy", "nope") == 2
 

@@ -3,13 +3,17 @@
 An intentionally naive dict-based re-implementation of the process consumes
 the same suggestion streams as the engine; agreement on every tracked
 quantity guards the vectorised paths at scales the exact oracle cannot
-reach.  Greedy d-choice is checked the same way against a per-ball loop.
+reach.  Greedy d-choice is checked the same way against a per-ball loop, and
+the batched tables against a trial-by-trial run of the batched process.
 """
+
+from collections import Counter
 
 import pytest
 
-from thinlab.core import (_result_from_state, make_pools, new_state, run_greedy_d_choice,
-                          run_trial, simulate_max_load_counts)
+from thinlab.core import (AUX_TAG, POOL_TAG, _generator, _result_from_state, make_pools,
+                          new_state, run_greedy_d_choice, run_trial,
+                          simulate_max_load_counts)
 from thinlab.oracle import compare_empirical, exact_distribution
 from thinlab.strategies import BetaThinning, ThresholdStrategy, threshold_for
 
@@ -81,6 +85,39 @@ def naive_greedy_run(n, d, m, seed):
     state.rejection_counters[0] = m
     state.t = m
     return _result_from_state(state, f"greedy-{d}-choice", seed)
+
+
+def naive_batched_counts(n, d, m, cap, trials, seed, beta=None):
+    """Max-load table of the batched process, run trial by trial with dicts.
+
+    Round 1 reads trials·m values of the batch stream, one trial after
+    another; each later round reads one value per rejected ball, in (trial,
+    ball) order.  With beta set (beta-thinning, d = 2), round 1 reads one aux
+    coin per ball in the same order, and a coin >= beta forces acceptance.
+    """
+    rng = _generator(seed, POOL_TAG, 0)
+    coins = iter(_generator(seed, AUX_TAG).random(trials * m).tolist())
+    values = rng.integers(0, n, size=trials * m).tolist()
+    offers = [values[t * m:(t + 1) * m] for t in range(trials)]
+    loads = [{} for _ in range(trials)]
+    for i in range(1, d + 1):
+        rejected = []
+        for t in range(trials):
+            counts = {}
+            rejected.append(0)
+            for b in offers[t]:
+                forced = beta is not None and i == 1 and next(coins) >= beta
+                if i == d or forced or counts.get(b, 0) <= cap:
+                    counts[b] = counts.get(b, 0) + 1
+                    loads[t][b] = loads[t].get(b, 0) + 1
+                else:
+                    rejected[t] += 1
+        fresh = rng.integers(0, n, size=sum(rejected)).tolist() if i < d else []
+        offers, start = [], 0
+        for r in rejected:
+            offers.append(fresh[start:start + r])
+            start += r
+    return dict(Counter(max(trial.values(), default=0) for trial in loads))
 
 
 def histogram_of(loads):
@@ -171,6 +208,26 @@ class TestGreedyAgreement:
     def test_sparse(self):
         # many bins: few offers of a 5,056-ball sub-block share a bin
         self.check(10**5, 2, 10**6, seed=72)
+
+
+class TestBatchedAgreement:
+    """The keyed round loop gives the trial-by-trial run's table exactly."""
+
+    @pytest.mark.parametrize("n,m", [(2, 3), (3, 5), (5, 9)])
+    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("ell_value", [0.5, 1.5])
+    def test_threshold(self, n, m, d, ell_value):
+        strat = ThresholdStrategy(ell_value)
+        seed = 10 * n + d
+        assert simulate_max_load_counts(n, d, m, strat, 300, seed) == \
+            naive_batched_counts(n, d, m, strat.cap, 300, seed)
+
+    @pytest.mark.parametrize("beta,cap", [(0.5, 0), (0.9, 1)])
+    @pytest.mark.parametrize("n,m", [(3, 5), (5, 9)])
+    def test_beta_thinning(self, n, m, beta, cap):
+        seed = 20 * n + cap
+        assert simulate_max_load_counts(n, 2, m, BetaThinning(beta, cap), 300, seed) == \
+            naive_batched_counts(n, 2, m, cap, 300, seed, beta=beta)
 
 
 class TestBatchedRunnerLaw:

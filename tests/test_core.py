@@ -10,7 +10,7 @@ import pytest
 
 from thinlab import core
 from thinlab.core import (ConfigError, DecisionRecord, Pool, PoolExhausted,
-                          batched_int64s, greedy_int64s, make_pools, max_load,
+                          greedy_int64s, make_pools, max_load,
                           mix_seed, new_state, occurrence_rank, phi, psi,
                           run_greedy_d_choice, run_trial,
                           simulate_max_load_counts, step, trial_int64s,
@@ -369,7 +369,7 @@ class TestMemoryRefusal:
 
 
 class TestBoundaryChecks:
-    """Every allocator refuses n < 1, d < 1 and m < 0 before estimating memory."""
+    """Every allocator refuses n < 1, d < 1, m < 0 and no trials before estimating memory."""
 
     @pytest.fixture(autouse=True)
     def no_memory(self, monkeypatch):
@@ -382,6 +382,11 @@ class TestBoundaryChecks:
     def test_batched_counts(self, n, d, m, message):
         with pytest.raises(ConfigError, match=message):
             simulate_max_load_counts(n, d, m, AlwaysAccept(), 10, 1)
+
+    @pytest.mark.parametrize("trials", [0, -1])
+    def test_batched_counts_without_trials(self, trials):
+        with pytest.raises(ConfigError, match=f"trial count must be >= 1, got {trials}"):
+            simulate_max_load_counts(3, 2, 3, ThresholdStrategy(1.5), trials, 1)
 
     @pytest.mark.parametrize("n,d,m,message", [
         (5, 0, 10, "thinning depth"), (0, 2, 0, "bin count")], ids=["d=0", "n=0"])
@@ -448,7 +453,7 @@ class TestMemoryEstimates:
     ])
     def test_batched_counts(self, n, d, m, strat, trials):
         peak = traced_peak(lambda: simulate_max_load_counts(n, d, m, strat, trials, seed=1))
-        assert 8 * batched_int64s(n, m, trials) >= peak
+        assert 8 * trial_int64s(trials * n, d, trials * m) >= peak
 
 
 class TestHelpers:
