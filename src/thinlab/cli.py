@@ -12,7 +12,7 @@ import math
 import sys
 
 from .core import ConfigError
-from .experiments import (ExperimentConfig, emit, format_results,
+from .experiments import (ExperimentConfig, emit, format_results, parse_rho,
                           run_experiment, sweep)
 from .oracle import OracleBudgetExceeded, exact_distribution
 from .strategies import make_strategy
@@ -127,9 +127,10 @@ def cmd_run_or_sweep(args) -> int:
 
 
 def cmd_theory(args) -> int:
+    rho = float(parse_rho(args.rho))
     l = ell(args.n, args.d)
     upper, lower = predicted_bounds(args.n, args.d, args.eps)
-    betas = beta_sequence(args.n, args.d, float(args.rho)).values
+    betas = beta_sequence(args.n, args.d, rho).values
     rows = [
         ("n", args.n), ("d", args.d), ("rho", args.rho),
         ("ell", l), ("cap", math.floor(l)), ("d_ell", predicted_max(args.n, args.d)),

@@ -2,9 +2,11 @@
 
 A ball is offered up to d consecutive uniformly random bins.  A strategy may
 reject the first d-1 offers; the d-th offer is always placed.  The engine
-tracks, per round i, how many balls reached that round (the rejection
-counters r_i), the per-round accepted loads, and which bins were ever offered
-as a primary suggestion.
+reports, per round i, how many balls reached that round (the rejection
+counters r_i) and the round's largest accepted count per bin, and how many
+bins were ever offered as a primary suggestion.  The per-ball `step` path
+keeps every round's accepted loads, which `decide` reads; the whole-round
+path keeps one round's at a time.
 
 Bins are indexed 0..n-1 and ball indices are 0-based throughout.
 
@@ -64,26 +66,30 @@ MEMORY_BYTES = _memory_bytes()
 def trial_int64s(n: int, d: int, m: int) -> int:
     """Estimated int64 values one trial holds at its peak.
 
-    The state's d+1 n-length rows plus one n-length temporary; at most nine
-    m-length arrays while a round ranks every ball (the take, the coins, the
-    ranked indices and values, `occurrence_rank`'s order, sorted copy and two
-    rank arrays, and its group starts and lengths, at most one pair per two
-    ranked balls); and one block in each of the d+1 pools.
+    Per bin, four rows: the loads, the round's accepted counts, its offered
+    counts and one temporary (the mask kernel's bincount, or the next
+    accepted row while the last is alive).  Nothing per bin grows with d.
+    At most nine m-length arrays while a mask kernel ranks every ball (the
+    take, the coins, the ranked indices and values, `occurrence_rank`'s
+    order, sorted copy and two rank arrays, and its group starts and
+    lengths, at most one pair per two ranked balls); a counts kernel needs
+    only the take and the next round's.  And one block in each of the d+1
+    pools.
     """
-    return (d + 2) * n + 9 * m + (d + 1) * _CHUNK
+    return 4 * n + 9 * m + (d + 1) * _CHUNK
 
 
 def greedy_int64s(n: int, d: int) -> int:
     """Estimated int64 values `run_greedy_d_choice` holds at its peak.
 
-    Per bin, the state's d+1 rows and its two flag arrays (ψ's, and φ's at
-    the end).  Per offer entry of one sub-block (at most d·2¹⁵ entries),
-    twelve: the offers, their slots, the slot table (up to eight entries per
-    offer) and its gather, with one to spare; the sorted shared entries and
-    the parents that come after them need less.  Plus one block in each of
-    the d pools and one being drawn.  Nothing grows with m.
+    Per bin, the loads and ψ's one-byte flags, rounded up to two rows.  Per
+    offer entry of one sub-block (at most d·2¹⁵ entries), twelve: the
+    offers, their slots, the slot table (up to eight entries per offer) and
+    its gather, with one to spare; the sorted shared entries and the parents
+    that come after them need less.  Plus one block in each of the d pools
+    and one being drawn.  Nothing grows with m or with d·n.
     """
-    return (d + 2) * n + 6 * d * _CHUNK + (d + 1) * _CHUNK
+    return 2 * n + 6 * d * _CHUNK + (d + 1) * _CHUNK
 
 
 def require_memory(int64s: int, what: str) -> None:
@@ -176,7 +182,7 @@ def make_pools(n: int, d: int, seed: int) -> tuple[list[Pool], Pool]:
 
 @dataclass
 class AllocationState:
-    """Live state of one allocation run.
+    """Live state of one per-ball run (`step`, and the oracle's tree walk).
 
     loads[m] is the total load of bin m; round_loads[i-1][m] counts balls that
     accepted bin m at round i; rejection_counters[i-1] is r_i(t), the number
@@ -301,58 +307,77 @@ class TrialResult:
         return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
-def _result_from_state(state: AllocationState, name: str, seed: int) -> TrialResult:
-    counts = np.bincount(state.loads)
-    histogram = {int(v): int(c) for v, c in enumerate(counts) if c > 0}
-    chosen = tuple(
-        int(state.rejection_counters[i]) -
-        (int(state.rejection_counters[i + 1]) if i + 1 < state.d else 0)
-        for i in range(state.d)
-    )
+def _summary(loads: np.ndarray, psi_count: int, rejection_counters, round_load_max,
+             name: str, seed: int) -> TrialResult:
+    """The TrialResult of a finished trial: its loads, ψ, r_1..r_d and per-round maxima."""
+    r = tuple(int(v) for v in rejection_counters)
+    histogram = {int(v): int(c) for v, c in enumerate(np.bincount(loads)) if c > 0}
     return TrialResult(
-        n=state.n,
-        d=state.d,
-        m=state.t,
+        n=loads.size,
+        d=len(r),
+        m=r[0],
         strategy=name,
         seed=seed,
-        max_load=max_load(state),
+        max_load=int(loads.max()),
         histogram=histogram,
-        rejection_counters=tuple(int(v) for v in state.rejection_counters),
-        phi=phi(state),
-        psi=psi(state),
-        chosen_counts=chosen,
-        round_load_max=tuple(int(v) for v in state.round_loads.max(axis=1)),
+        rejection_counters=r,
+        phi=int(np.count_nonzero(loads)),
+        psi=int(psi_count),
+        chosen_counts=tuple(a - b for a, b in zip(r, r[1:] + (0,))),
+        round_load_max=tuple(int(v) for v in round_load_max),
     )
 
 
-def _run_vectorized(state: AllocationState, current: np.ndarray, n: int, strategy,
-                    pools, aux) -> None:
+def _result_from_state(state: AllocationState, name: str, seed: int) -> TrialResult:
+    """The TrialResult of a state the per-ball `step` path filled."""
+    return _summary(state.loads, psi(state), state.rejection_counters,
+                    state.round_loads.max(axis=1), name, seed)
+
+
+def _run_vectorized(current: np.ndarray, trials: int, n: int, d: int, strategy, pools, aux):
     """Whole-round path for trials of n bins each; byte-identical to the step loop.
 
     `current` holds round 1's keys trial·n + bin, trial after trial, each
-    trial's balls in ball order.  Round i applies the strategy's sequential
-    acceptance mask and re-offers each rejected ball, in order, at
-    key - key % n (its trial's first key) plus a fresh bin from pools[i].  A
-    single trial's keys are its bins, so it skips that offset.
+    trial's balls in ball order.  Each round counts its offers per key once.
+    A strategy with `accept_counts` turns those counts into the round's
+    accepted counts; for any other strategy its sequential `accept_mask`
+    picks the accepted balls, which are counted.  Either way one row holds
+    the round's accepted counts: it is added into the loads and its maximum
+    is kept, so no (d, trials·n) array is made.  The rejected balls are
+    re-offered at their trial's first key plus a fresh bin from pools[i].
+    Round i+1 draws in (trial, ball) order, so only each trial's rejected
+    count matters; a single trial needs only the total.  Returns the loads,
+    ψ (keys offered in round 1), r_1..r_d and each round's largest accepted
+    count.
     """
-    d = state.d
-    state.t = current.size
-    state.psi_seen[current] = True
+    accept_counts = getattr(strategy, "accept_counts", None)
+    bins = trials * n
+    starts = np.arange(0, bins, n)
+    loads = np.zeros(bins, dtype=np.int64)
+    row = np.empty(bins, dtype=np.int64)
+    rejection_counters = []
+    round_load_max = []
     for i in range(1, d + 1):
-        state.rejection_counters[i - 1] = current.size
-        if i < d:
-            mask = strategy.accept_mask(i, current, aux)
-            accepted = current[mask]
+        rejection_counters.append(current.size)
+        offered = np.bincount(current, minlength=bins)
+        if i == 1:
+            psi_count = np.count_nonzero(offered)
+        if i == d:
+            row = offered
+        elif accept_counts is not None:
+            accept_counts(i, offered, row)
         else:
-            accepted = current
-        state.round_loads[i - 1] = np.bincount(accepted, minlength=state.n)
+            row = np.bincount(current[strategy.accept_mask(i, current, aux)], minlength=bins)
+        loads += row
+        round_load_max.append(row.max())
         if i < d:
-            fresh = pools[i].take(int(current.size - accepted.size))
-            if state.n > n:
-                rejected = current[~mask]
-                fresh += rejected - rejected % n
-            current = fresh
-    state.loads = state.round_loads.sum(axis=0)
+            if trials == 1:
+                current = pools[i].take(current.size - int(row.sum()))
+            else:
+                rejected = np.add.reduceat(offered - row, starts)
+                current = pools[i].take(int(rejected.sum()))
+                current += np.repeat(starts, rejected)
+    return loads, psi_count, rejection_counters, round_load_max
 
 
 def run_trial(n: int, d: int, m: int, strategy, seed: int,
@@ -364,13 +389,13 @@ def run_trial(n: int, d: int, m: int, strategy, seed: int,
     """
     check_sizes(n, d, m)
     require_memory(trial_int64s(n, d, m), f"a trial with n={n}, d={d}, m={m}")
-    state = new_state(n, d)
     pools, aux = make_pools(n, d, seed)
     if collect_records:
+        state = new_state(n, d)
         records = [step(state, strategy, pools, aux) for _ in range(m)]
         return _result_from_state(state, strategy.name, seed), records
-    _run_vectorized(state, pools[0].take(m), n, strategy, pools, aux)
-    return _result_from_state(state, strategy.name, seed)
+    return _summary(*_run_vectorized(pools[0].take(m), 1, n, d, strategy, pools, aux),
+                    strategy.name, seed)
 
 
 def _least_loaded(loads: np.ndarray, offers: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -462,17 +487,17 @@ def run_greedy_d_choice(n: int, d: int, m: int, seed: int) -> TrialResult:
     """
     check_sizes(n, d, m)
     require_memory(greedy_int64s(n, d), f"a greedy trial with n={n}, d={d}, m={m}")
-    state = new_state(n, d)
+    loads = np.zeros(n, dtype=np.int64)
+    seen = np.zeros(n, dtype=bool)
     pools, _ = make_pools(n, d, seed)
     block = min(_CHUNK // 2, 16 * math.isqrt(n))
     for start in range(0, m, block):
         offers = np.stack([pool.take(min(block, m - start)) for pool in pools])
-        state.psi_seen[offers[0]] = True
-        _place_least_loaded(state.loads, offers)
-    state.round_loads[0] = state.loads
-    state.rejection_counters[0] = m
-    state.t = m
-    return _result_from_state(state, f"greedy-{d}-choice", seed)
+        seen[offers[0]] = True
+        _place_least_loaded(loads, offers)
+    rest = [0] * (d - 1)
+    return _summary(loads, np.count_nonzero(seen), [m] + rest, [loads.max()] + rest,
+                    f"greedy-{d}-choice", seed)
 
 
 def per_trial_max_load_counts(n: int, d: int, m: int, strategy, trials: int,
@@ -497,12 +522,11 @@ def simulate_max_load_counts(n: int, d: int, m: int, strategy, trials: int,
         raise ConfigError(f"trial count must be >= 1, got {trials}")
     require_memory(trial_int64s(trials * n, d, trials * m),
                    f"{trials} batched trials with n={n}, d={d}, m={m}")
-    state = new_state(trials * n, d)
     pool = _bin_pool(n, seed, POOL_TAG, 0)
     keys = pool.take(trials * m)
     keys += np.repeat(np.arange(0, trials * n, n), m)
-    _run_vectorized(state, keys, n, strategy, [pool] * d, _aux_pool(seed))
-    values, freq = np.unique(state.loads.reshape(trials, n).max(axis=1), return_counts=True)
+    loads, *_ = _run_vectorized(keys, trials, n, d, strategy, [pool] * d, _aux_pool(seed))
+    values, freq = np.unique(loads.reshape(trials, n).max(axis=1), return_counts=True)
     return {int(v): int(c) for v, c in zip(values, freq)}
 
 

@@ -50,11 +50,20 @@ class ExperimentConfig:
         return self
 
 
-def balls_from_rho(rho: str, n: int) -> int:
-    """floor(rho*n) in exact integer arithmetic from the decimal rho string."""
-    frac = Fraction(rho)
+def parse_rho(rho: str) -> Fraction:
+    """The exact rho of a decimal or fraction string; refuses one that is not positive."""
+    try:
+        frac = Fraction(rho)
+    except ValueError:
+        raise ConfigError(f"rho must be a positive decimal or fraction, got {rho!r}") from None
     if frac <= 0:
         raise ConfigError(f"rho must be positive, got {rho}")
+    return frac
+
+
+def balls_from_rho(rho: str, n: int) -> int:
+    """floor(rho*n) in exact integer arithmetic from the decimal rho string."""
+    frac = parse_rho(rho)
     return (frac.numerator * n) // frac.denominator
 
 

@@ -8,7 +8,12 @@ never consults the strategy there.
 Strategies are immutable after construction and safe to share across trials.
 Each also provides `accept_mask`, the whole-round sequential acceptance mask
 used by the vectorised engine path; it must consume the aux stream exactly
-as per-ball `decide` calls would.
+as per-ball `decide` calls would.  A strategy whose round outcome depends
+only on how many balls each bin is offered may also provide
+`accept_counts(i, offered, out)`: given the round's offers per bin, it
+writes into `out` how many of them the mask would accept.  The engine then
+uses it in place of the mask and never looks at single balls; an object
+without it (a delegating proxy, say) still runs through the mask.
 """
 
 from __future__ import annotations
@@ -22,7 +27,10 @@ from .theory import ell
 
 
 class Strategy:
-    """Base decision rule; subclasses set `name` and implement `decide` and `accept_mask`."""
+    """Base decision rule; subclasses set `name` and implement `decide` and `accept_mask`.
+
+    `accept_counts(i, offered, out)` is optional; see the module docstring.
+    """
 
     name = "strategy"
     deterministic = True
@@ -44,6 +52,9 @@ class AlwaysAccept(Strategy):
 
     def accept_mask(self, i, suggestions, aux):
         return np.ones(suggestions.size, dtype=bool)
+
+    def accept_counts(self, i, offered, out):
+        np.copyto(out, offered)
 
 
 class ThresholdStrategy(Strategy):
@@ -70,6 +81,9 @@ class ThresholdStrategy(Strategy):
         # Sequentially exact: a bin's first cap+1 round-i offers are the
         # accepted ones, every later offer sees count > cap.
         return within_first(suggestions, self.cap + 1)
+
+    def accept_counts(self, i, offered, out):
+        np.minimum(offered, self.cap + 1, out=out)
 
 
 class BetaThinning(Strategy):

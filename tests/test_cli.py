@@ -160,6 +160,22 @@ class TestTheoryCommand:
     def test_domain_error_exit(self):
         assert run_cli("theory", "--n", "2", "--d", "2") == 2
 
+    def test_fraction_rho(self, capsys):
+        assert run_cli("theory", "--n", "1000", "--d", "2", "--rho", "1/2",
+                       "--format", "csv") == 0
+        header, row = capsys.readouterr().out.strip().split("\n")
+        cols = dict(zip(header.split(","), row.split(",")))
+        assert cols["rho"] == "1/2"
+        assert float(cols["beta_1"]) == 500.0
+
+    @pytest.mark.parametrize("rho", ["nan", "inf", "0", "-1"])
+    def test_rho_refused_as_run_refuses_it(self, capsys, rho):
+        assert run_cli("theory", "--n", "1000", "--d", "2", "--rho", rho) == 2
+        theory_err = capsys.readouterr().err
+        assert run_cli("run", "--n", "10", "--d", "2", "--rho", rho) == 2
+        assert theory_err == capsys.readouterr().err
+        assert theory_err.startswith("thinlab: error: rho must be")
+
 
 class TestOracleCommand:
     def test_mass_function_csv(self, capsys):

@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from thinlab.core import (ConfigError, make_pools, new_state, run_trial,
                           simulate_max_load_counts, step)
@@ -86,6 +88,58 @@ class TestAlwaysAccept:
     def test_final_round_decide(self):
         state = new_state(2, 2)
         assert AlwaysAccept().decide(1, 0, state, None) is True
+
+
+class TestAcceptCounts:
+    """`accept_counts` is the per-bin total of the balls `accept_mask` accepts."""
+
+    @settings(deadline=None)
+    @given(values=st.lists(st.integers(0, 12), max_size=80), cap=st.integers(0, 3),
+           i=st.integers(1, 3), spare=st.integers(0, 3))
+    @pytest.mark.parametrize("kind", ["threshold", "always-accept"])
+    def test_counts_equal_masked_bincount(self, kind, values, cap, i, spare):
+        strat = ThresholdStrategy(cap + 0.5) if kind == "threshold" else AlwaysAccept()
+        v = np.asarray(values, dtype=np.int64)
+        offered = np.bincount(v, minlength=v.max(initial=-1) + 1 + spare)
+        out = np.full(offered.size, -1, dtype=np.int64)
+        strat.accept_counts(i, offered, out)
+        expected = np.bincount(v[strat.accept_mask(i, v, None)], minlength=offered.size)
+        assert out.tolist() == expected.tolist()
+
+
+class MaskOnly:
+    """A strategy seen only through the mask protocol, as a delegating proxy sees it."""
+
+    def __init__(self, inner):
+        self._inner = inner
+        self.name = inner.name
+        self.deterministic = inner.deterministic
+
+    def decide(self, i, bin_index, state, aux):
+        return self._inner.decide(i, bin_index, state, aux)
+
+    def accept_mask(self, i, suggestions, aux):
+        return self._inner.accept_mask(i, suggestions, aux)
+
+
+class TestMaskOnlyStrategy:
+    """An object without `accept_counts` runs through the mask kernel, to the same bytes."""
+
+    STRATEGIES = [ThresholdStrategy(0.5), ThresholdStrategy(1.5), AlwaysAccept()]
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("strat", STRATEGIES, ids=["cap0", "cap1", "always"])
+    def test_trial_matches_bare_strategy(self, strat, d):
+        for n, m, seed in ((1, 5, 1), (7, 40, 2), (500, 1500, 3)):
+            wrapped = run_trial(n, d, m, MaskOnly(strat), seed)
+            assert wrapped.to_json() == run_trial(n, d, m, strat, seed).to_json()
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("strat", STRATEGIES, ids=["cap0", "cap1", "always"])
+    def test_batched_table_matches_bare_strategy(self, strat, d):
+        for n, m, trials in ((3, 4, 2000), (5, 9, 300)):
+            wrapped = simulate_max_load_counts(n, d, m, MaskOnly(strat), trials, seed=4)
+            assert wrapped == simulate_max_load_counts(n, d, m, strat, trials, seed=4)
 
 
 class TestBetaThinning:
