@@ -5,8 +5,10 @@ reject the first d-1 offers; the d-th offer is always placed.  The engine
 reports, per round i, how many balls reached that round (the rejection
 counters r_i) and the round's largest accepted count per bin, and how many
 bins were ever offered as a primary suggestion.  The per-ball `step` path
-keeps every round's accepted loads, which `decide` reads; the whole-round
-path keeps one round's at a time.
+keeps every round's accepted loads, which `decide` reads.  The whole-round
+path keeps one round's at a time: round 1's accepted counts become the
+loads, and a later round that offers few balls works on its offered bins
+alone, in time and extra memory that grow with its offers, not with n.
 
 Bins are indexed 0..n-1 and ball indices are 0-based throughout.
 
@@ -15,7 +17,8 @@ independent stream seeded with SeedSequence((seed, POOL_TAG, i)); a strategy
 that needs its own coin flips gets one float stream seeded with
 SeedSequence((seed, AUX_TAG)).  Streams are materialised in fixed-size chunks
 so that the value sequence of each stream depends only on the seed, never on
-the consumption pattern.
+the consumption pattern; a stream's generator is seeded on its first draw,
+so a stream that is never read costs no seeding.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ import os
 import resource
 from collections import Counter
 from dataclasses import dataclass
-from functools import partial
+from functools import cache, partial
 
 import numpy as np
 
@@ -67,9 +70,12 @@ def trial_int64s(n: int, d: int, m: int) -> int:
     """Estimated int64 values one trial holds at its peak.
 
     Per bin, four rows: the loads, the round's accepted counts, its offered
-    counts and one temporary (the mask kernel's bincount, or the next
-    accepted row while the last is alive).  Nothing per bin grows with d.
-    At most nine m-length arrays while a mask kernel ranks every ball (the
+    counts and one more (the mask kernel's bincount, or each key's trial
+    start in a batch).  Nothing per bin grows with d.  A single trial's counts
+    kernel holds less: it writes round 1's accepted counts over its offered
+    counts, and that row becomes the loads, so it holds one row, and a
+    second only while a later round that offers many balls is counted.  At
+    most nine m-length arrays while a mask kernel ranks every ball (the
     take, the coins, the ranked indices and values, `occurrence_rank`'s
     order, sorted copy and two rank arrays, and its group starts and
     lengths, at most one pair per two ranked balls); a counts kernel needs
@@ -160,13 +166,15 @@ def _generator(*key: int) -> np.random.Generator:
 
 
 def _aux_pool(seed: int) -> Pool:
-    """The strategy's stream of uniform floats on [0, 1)."""
-    return Pool(partial(_generator(seed, AUX_TAG).random, _CHUNK), np.empty(0, np.float64))
+    """The strategy's stream of uniform floats on [0, 1), seeded on its first draw."""
+    generator = cache(partial(_generator, seed, AUX_TAG))
+    return Pool(lambda: generator().random(_CHUNK), np.empty(0, np.float64))
 
 
 def _bin_pool(n: int, *key: int) -> Pool:
-    """A stream of uniform bins on [0, n) from the generator seeded with `key`."""
-    return Pool(partial(_generator(*key).integers, 0, n, size=_CHUNK, dtype=np.int64),
+    """A stream of uniform bins on [0, n) from the generator seeded with `key` on its first draw."""
+    generator = cache(partial(_generator, *key))
+    return Pool(lambda: generator().integers(0, n, size=_CHUNK, dtype=np.int64),
                 np.empty(0, np.int64))
 
 
@@ -334,49 +342,78 @@ def _result_from_state(state: AllocationState, name: str, seed: int) -> TrialRes
                     state.round_loads.max(axis=1), name, seed)
 
 
+def _sparse_round(offers: int, bins: int) -> bool:
+    """Whether a later round of `offers` balls runs on its offered keys alone.
+
+    A sparse round sorts its offers (`np.unique`); a dense one makes a few
+    passes over every bin.  Measured on numpy 2.4, the sparse round wins
+    when 8·offers < bins at 8·10⁴ and 10⁶ bins, and a sparse round's fixed
+    cost is about a dense round's over 8·2¹⁰ bins; README "Round kernels".
+    """
+    return 8 * (offers + 1024) < bins
+
+
 def _run_vectorized(current: np.ndarray, trials: int, n: int, d: int, strategy, pools, aux):
     """Whole-round path for trials of n bins each; byte-identical to the step loop.
 
     `current` holds round 1's keys trial·n + bin, trial after trial, each
-    trial's balls in ball order.  Each round counts its offers per key once.
-    A strategy with `accept_counts` turns those counts into the round's
-    accepted counts; for any other strategy its sequential `accept_mask`
-    picks the accepted balls, which are counted.  Either way one row holds
-    the round's accepted counts: it is added into the loads and its maximum
-    is kept, so no (d, trials·n) array is made.  The rejected balls are
-    re-offered at their trial's first key plus a fresh bin from pools[i].
-    Round i+1 draws in (trial, ball) order, so only each trial's rejected
-    count matters; a single trial needs only the total.  Returns the loads,
-    ψ (keys offered in round 1), r_1..r_d and each round's largest accepted
-    count.
+    trial's balls in ball order.  Each round counts its offers per key once:
+    round 1, and a later round that offers many balls, with `bincount` over
+    every key; a later round that offers few (`_sparse_round`) with
+    `np.unique` over its offered keys alone.  A strategy with
+    `accept_counts` turns those counts into the round's accepted counts, in
+    place for a single trial; for any other strategy its sequential
+    `accept_mask` picks the accepted balls, which are counted per key.
+    Round 1's accepted counts become the loads and each later round's are
+    added into them, so no (d, trials·n) array is made; each round's largest
+    accepted count is kept, 0 for a round with no offers.  The rejected
+    balls are re-offered at their trial's first key plus a fresh bin from
+    pools[i].  Round i+1 draws in (trial, ball) order, so only each trial's
+    rejected count matters: a single trial needs only the total, and a batch
+    repeats each key's trial start by the key's rejected count, keys being
+    in trial order.  Returns the loads, ψ (keys offered in round 1),
+    r_1..r_d and each round's largest accepted count.
     """
     accept_counts = getattr(strategy, "accept_counts", None)
     bins = trials * n
-    starts = np.arange(0, bins, n)
-    loads = np.zeros(bins, dtype=np.int64)
-    row = np.empty(bins, dtype=np.int64)
+    if trials > 1:
+        trial_start = np.arange(0, bins, n).repeat(n)
     rejection_counters = []
     round_load_max = []
     for i in range(1, d + 1):
         rejection_counters.append(current.size)
-        offered = np.bincount(current, minlength=bins)
+        if i == 1 or not _sparse_round(current.size, bins):
+            keys = None
+            offered = np.bincount(current, minlength=bins)
+        else:
+            keys, offered = np.unique(current, return_counts=True)
         if i == 1:
             psi_count = np.count_nonzero(offered)
         if i == d:
-            row = offered
+            accepted = offered
         elif accept_counts is not None:
-            accept_counts(i, offered, row)
+            accepted = offered if trials == 1 else np.empty_like(offered)
+            accept_counts(i, offered, accepted)
         else:
-            row = np.bincount(current[strategy.accept_mask(i, current, aux)], minlength=bins)
-        loads += row
-        round_load_max.append(row.max())
+            taken = current[strategy.accept_mask(i, current, aux)]
+            if keys is None:
+                accepted = np.bincount(taken, minlength=bins)
+            else:
+                accepted = np.bincount(np.searchsorted(keys, taken), minlength=keys.size)
+        if i == 1:
+            loads = accepted
+        elif keys is None:
+            loads += accepted
+        else:
+            loads[keys] += accepted
+        round_load_max.append(accepted.max(initial=0))
         if i < d:
             if trials == 1:
-                current = pools[i].take(current.size - int(row.sum()))
+                current = pools[i].take(current.size - int(accepted.sum()))
             else:
-                rejected = np.add.reduceat(offered - row, starts)
-                current = pools[i].take(int(rejected.sum()))
-                current += np.repeat(starts, rejected)
+                offered -= accepted
+                current = pools[i].take(int(offered.sum()))
+                current += (trial_start if keys is None else keys - keys % n).repeat(offered)
     return loads, psi_count, rejection_counters, round_load_max
 
 
@@ -507,6 +544,14 @@ def per_trial_max_load_counts(n: int, d: int, m: int, strategy, trials: int,
                         for j in range(trials)))
 
 
+def _run_batch(n: int, d: int, m: int, strategy, trials: int, seed: int):
+    """`_run_vectorized` over `trials` trials of m balls, all on the batch's one stream."""
+    pool = _bin_pool(n, seed, POOL_TAG, 0)
+    keys = pool.take(trials * m)
+    keys += np.repeat(np.arange(0, trials * n, n), m)
+    return _run_vectorized(keys, trials, n, d, strategy, [pool] * d, _aux_pool(seed))
+
+
 def simulate_max_load_counts(n: int, d: int, m: int, strategy, trials: int,
                              seed: int) -> dict[int, int]:
     """Max-load frequency table over many trials, batched across trials.
@@ -522,10 +567,7 @@ def simulate_max_load_counts(n: int, d: int, m: int, strategy, trials: int,
         raise ConfigError(f"trial count must be >= 1, got {trials}")
     require_memory(trial_int64s(trials * n, d, trials * m),
                    f"{trials} batched trials with n={n}, d={d}, m={m}")
-    pool = _bin_pool(n, seed, POOL_TAG, 0)
-    keys = pool.take(trials * m)
-    keys += np.repeat(np.arange(0, trials * n, n), m)
-    loads, *_ = _run_vectorized(keys, trials, n, d, strategy, [pool] * d, _aux_pool(seed))
+    loads, *_ = _run_batch(n, d, m, strategy, trials, seed)
     values, freq = np.unique(loads.reshape(trials, n).max(axis=1), return_counts=True)
     return {int(v): int(c) for v, c in zip(values, freq)}
 

@@ -11,8 +11,11 @@ used by the vectorised engine path; it must consume the aux stream exactly
 as per-ball `decide` calls would.  A strategy whose round outcome depends
 only on how many balls each bin is offered may also provide
 `accept_counts(i, offered, out)`: given the round's offers per bin, it
-writes into `out` how many of them the mask would accept.  The engine then
-uses it in place of the mask and never looks at single balls; an object
+writes into `out` how many of them the mask would accept.  `out` may be
+`offered` itself, which the engine passes for a single trial, so the
+kernel must work elementwise.  `offered` covers either every bin or only
+the bins offered this round, in increasing order.  The engine uses the
+method in place of the mask and never looks at single balls; an object
 without it (a delegating proxy, say) still runs through the mask.
 """
 

@@ -11,11 +11,13 @@ from collections import Counter
 
 import pytest
 
-from thinlab.core import (AUX_TAG, POOL_TAG, _generator, _result_from_state, make_pools,
-                          new_state, run_greedy_d_choice, run_trial,
-                          simulate_max_load_counts)
+from thinlab.core import (AUX_TAG, POOL_TAG, _generator, _result_from_state, _run_batch,
+                          _sparse_round, make_pools, new_state, run_greedy_d_choice,
+                          run_trial, simulate_max_load_counts)
 from thinlab.oracle import compare_empirical, exact_distribution
-from thinlab.strategies import BetaThinning, ThresholdStrategy, threshold_for
+from thinlab.strategies import AlwaysAccept, BetaThinning, ThresholdStrategy, threshold_for
+
+from test_strategies import MaskOnly
 
 
 def naive_threshold_run(n, d, cap, m, pools):
@@ -228,6 +230,68 @@ class TestBatchedAgreement:
         seed = 20 * n + cap
         assert simulate_max_load_counts(n, 2, m, BetaThinning(beta, cap), 300, seed) == \
             naive_batched_counts(n, 2, m, cap, 300, seed, beta=beta)
+
+
+class TestSparseRounds:
+    """Later rounds on either side of the dense/sparse switch give the naive run's values.
+
+    Round 2 offers r_2 balls.  Each seed below puts r_2 within 16 of the
+    switch, on the side its name says; round 3 offers a few dozen and runs
+    sparse.  The switch itself is read from `_sparse_round`.
+    """
+
+    CAP1 = ThresholdStrategy(1.5)
+
+    @pytest.mark.parametrize("seed,sparse", [(0, True), (3, False)], ids=["sparse", "dense"])
+    def test_single_trial(self, seed, sparse):
+        # n = 20,000: the switch sits at r_2 = 1,476, and m = 17,500 puts r_2 near it
+        n, m = 20_000, 17_500
+        reached = TestNaiveAgreement.check_threshold(n, 3, m, self.CAP1, seed)
+        assert _sparse_round(reached[1], n) is sparse
+        assert _sparse_round(reached[2], n)
+        masked = run_trial(n, 3, m, MaskOnly(self.CAP1), seed)
+        assert masked.to_json() == run_trial(n, 3, m, self.CAP1, seed).to_json()
+
+    @pytest.mark.parametrize("seed,sparse", [(10, True), (2, False)], ids=["sparse", "dense"])
+    def test_batched(self, seed, sparse):
+        # 50 trials of n = 2,000: the switch sits at r_2 = 11,476 over 100,000 keys
+        n, m, trials = 2_000, 2_080, 50
+        reached = _run_batch(n, 3, m, self.CAP1, trials, seed)[2]
+        assert _sparse_round(reached[1], trials * n) is sparse
+        assert _sparse_round(reached[2], trials * n)
+        table = simulate_max_load_counts(n, 3, m, self.CAP1, trials, seed)
+        assert table == naive_batched_counts(n, 3, m, self.CAP1.cap, trials, seed)
+        assert simulate_max_load_counts(n, 3, m, MaskOnly(self.CAP1), trials, seed) == table
+
+
+class TestEmptyRounds:
+    """A round that no ball reaches reports `round_load_max` 0, dense or sparse."""
+
+    M = 6
+    STRATEGIES = [AlwaysAccept(), ThresholdStrategy(M + 10.5), MaskOnly(AlwaysAccept()),
+                  MaskOnly(ThresholdStrategy(M + 10.5))]
+    IDS = ["always", "threshold", "always-mask", "threshold-mask"]
+
+    @pytest.mark.parametrize("strat", STRATEGIES, ids=IDS)
+    @pytest.mark.parametrize("n", [5, 10_000], ids=["dense", "sparse"])
+    def test_single_trial(self, strat, n):
+        assert _sparse_round(0, n) is (n > 5)
+        result = run_trial(n, 3, self.M, strat, seed=81)
+        assert result.rejection_counters == (self.M, 0, 0)
+        assert result.round_load_max[1:] == (0, 0)
+        assert result.round_load_max[0] == max(result.histogram)
+
+    @pytest.mark.parametrize("strat", STRATEGIES, ids=IDS)
+    @pytest.mark.parametrize("trials", [100, 5_000], ids=["dense", "sparse"])
+    def test_batched(self, strat, trials):
+        n = 3
+        assert _sparse_round(0, trials * n) is (trials > 100)
+        loads, _, reached, round_load_max = _run_batch(n, 3, self.M, strat, trials, seed=82)
+        assert reached == [trials * self.M, 0, 0]
+        assert round_load_max[1:] == [0, 0]
+        assert round_load_max[0] == loads.max()
+        assert simulate_max_load_counts(n, 3, self.M, strat, trials, seed=82) == \
+            naive_batched_counts(n, 3, self.M, self.M + 10, trials, seed=82)
 
 
 class TestBatchedRunnerLaw:

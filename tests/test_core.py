@@ -456,6 +456,15 @@ class TestMemoryEstimates:
         assert 8 * trial_int64s(trials * n, d, trials * m) >= peak
 
 
+class TestTrialPeak:
+    """A counts-kernel trial holds its round-1 take and one row of loads, not four rows."""
+
+    def test_threshold_trial_at_a_million_bins(self):
+        n = 10**6
+        peak = traced_peak(lambda: run_trial(n, 3, n, threshold_for(n, 3), 1))
+        assert peak <= 8 * 3 * n
+
+
 class TestHelpers:
     def test_occurrence_rank_brute_force(self):
         rng = np.random.default_rng(0)

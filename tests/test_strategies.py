@@ -95,13 +95,14 @@ class TestAcceptCounts:
 
     @settings(deadline=None)
     @given(values=st.lists(st.integers(0, 12), max_size=80), cap=st.integers(0, 3),
-           i=st.integers(1, 3), spare=st.integers(0, 3))
+           i=st.integers(1, 3), spare=st.integers(0, 3), in_place=st.booleans())
     @pytest.mark.parametrize("kind", ["threshold", "always-accept"])
-    def test_counts_equal_masked_bincount(self, kind, values, cap, i, spare):
+    def test_counts_equal_masked_bincount(self, kind, values, cap, i, spare, in_place):
+        # `out` may be `offered` itself
         strat = ThresholdStrategy(cap + 0.5) if kind == "threshold" else AlwaysAccept()
         v = np.asarray(values, dtype=np.int64)
         offered = np.bincount(v, minlength=v.max(initial=-1) + 1 + spare)
-        out = np.full(offered.size, -1, dtype=np.int64)
+        out = offered if in_place else np.full(offered.size, -1, dtype=np.int64)
         strat.accept_counts(i, offered, out)
         expected = np.bincount(v[strat.accept_mask(i, v, None)], minlength=offered.size)
         assert out.tolist() == expected.tolist()
