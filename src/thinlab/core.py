@@ -15,10 +15,11 @@ Bins are indexed 0..n-1 and ball indices are 0-based throughout.
 Randomness layout: round i (1-based) draws its suggestions from an
 independent stream seeded with SeedSequence((seed, POOL_TAG, i)); a strategy
 that needs its own coin flips gets one float stream seeded with
-SeedSequence((seed, AUX_TAG)).  Streams are materialised in fixed-size chunks
-so that the value sequence of each stream depends only on the seed, never on
-the consumption pattern; a stream's generator is seeded on its first draw,
-so a stream that is never read costs no seeding.
+SeedSequence((seed, AUX_TAG)).  A stream's values depend only on its seed,
+never on how its reads are split into calls: numpy's PCG64 integer and double
+draws give the same values however a stream is cut, so a take draws what it
+lacks in one call (`Pool`).  A stream's generator is seeded on its first
+draw, so a stream that is never read costs no seeding.
 """
 
 from __future__ import annotations
@@ -79,8 +80,8 @@ def trial_int64s(n: int, d: int, m: int) -> int:
     take, the coins, the ranked indices and values, `occurrence_rank`'s
     order, sorted copy and two rank arrays, and its group starts and
     lengths, at most one pair per two ranked balls); a counts kernel needs
-    only the take and the next round's.  And one block in each of the d+1
-    pools.
+    only the take and the next round's.  And at most one partly served
+    2¹⁶-value block in each of the d+1 pools.
     """
     return 4 * n + 9 * m + (d + 1) * _CHUNK
 
@@ -92,8 +93,9 @@ def greedy_int64s(n: int, d: int) -> int:
     offer entry of one sub-block (at most d·2¹⁵ entries), twelve: the
     offers, their slots, the slot table (up to eight entries per offer) and
     its gather, with one to spare; the sorted shared entries and the parents
-    that come after them need less.  Plus one block in each of the d pools
-    and one being drawn.  Nothing grows with m or with d·n.
+    that come after them need less.  Plus at most one partly served
+    2¹⁶-value block in each of the d pools and one being drawn.  Nothing
+    grows with m or with d·n.
     """
     return 2 * n + 6 * d * _CHUNK + (d + 1) * _CHUNK
 
@@ -112,11 +114,19 @@ def require_memory(int64s: int, what: str) -> None:
 
 
 class Pool:
-    """Stream of values served from `block`, then from each block `draw()` returns.
+    """Stream of values served from `block`, then from what `draw(k)` returns.
 
-    A seeded pool starts empty and draws fixed-size blocks, so its value sequence depends only
-    on its seed, never on how take() and next() calls split it.  A replay
-    pool (`Pool.replay`) holds one fixed block and raises PoolExhausted when
+    `draw(k)` returns the stream's next k values.  A seeded pool's draws are
+    numpy PCG64 bounded-integer or double draws, which give the same values
+    however the stream is split into calls, so the values served depend only
+    on the seed, never on how take() and next() calls split them.  A take
+    the buffer cannot serve makes one draw of what it lacks, at least 2¹⁶
+    values, so that next() and tiny takes stay cheap; the rest stays
+    buffered.  A take is a slice of the buffer or of the fresh draw, copied
+    only when it joins a leftover to fresh values, and a buffer served in
+    full is dropped, so the pool keeps no take alive.  Served values are
+    never served again, so callers may write into a take.  A replay pool
+    (`Pool.replay`) holds a copy of its values and raises PoolExhausted when
     asked for more.
     """
 
@@ -128,33 +138,32 @@ class Pool:
 
     @classmethod
     def replay(cls, values, dtype=np.int64) -> "Pool":
-        """Finite pool replaying `values`, for scripted runs."""
-        block = np.asarray(values, dtype=dtype)
+        """Finite pool replaying a copy of `values`, for scripted runs."""
+        block = np.array(values, dtype=dtype)
 
-        def exhausted():
+        def exhausted(k):
             raise PoolExhausted(f"replay pool exhausted after {block.size} values")
         return cls(exhausted, block)
 
-    def _refill(self) -> None:
-        self._buf = self._draw()
-        self._pos = 0
-
     def take(self, k: int) -> np.ndarray:
-        out = np.empty(k, dtype=self._buf.dtype)
-        filled = 0
-        while filled < k:
-            if self._pos == self._buf.size:
-                self._refill()
-            span = min(k - filled, self._buf.size - self._pos)
-            out[filled:filled + span] = self._buf[self._pos:self._pos + span]
-            self._pos += span
-            filled += span
+        buf, pos = self._buf, self._pos
+        short = k - (buf.size - pos)
+        if short <= 0:
+            out = buf[pos:pos + k]
+            pos += k
+        else:
+            fresh = self._draw(max(short, _CHUNK))
+            out = fresh[:short] if pos == buf.size else np.concatenate((buf[pos:], fresh[:short]))
+            buf, pos = fresh, short
+        if pos == buf.size:
+            buf, pos = np.empty(0, buf.dtype), 0
+        self._buf, self._pos = buf, pos
         self.consumed += k
         return out
 
     def next(self):
         if self._pos == self._buf.size:
-            self._refill()
+            self._buf, self._pos = self._draw(_CHUNK), 0
         v = self._buf.item(self._pos)
         self._pos += 1
         self.consumed += 1
@@ -168,13 +177,13 @@ def _generator(*key: int) -> np.random.Generator:
 def _aux_pool(seed: int) -> Pool:
     """The strategy's stream of uniform floats on [0, 1), seeded on its first draw."""
     generator = cache(partial(_generator, seed, AUX_TAG))
-    return Pool(lambda: generator().random(_CHUNK), np.empty(0, np.float64))
+    return Pool(lambda k: generator().random(k), np.empty(0, np.float64))
 
 
 def _bin_pool(n: int, *key: int) -> Pool:
     """A stream of uniform bins on [0, n) from the generator seeded with `key` on its first draw."""
     generator = cache(partial(_generator, *key))
-    return Pool(lambda: generator().integers(0, n, size=_CHUNK, dtype=np.int64),
+    return Pool(lambda k: generator().integers(0, n, size=k, dtype=np.int64),
                 np.empty(0, np.int64))
 
 
@@ -317,19 +326,23 @@ class TrialResult:
 
 def _summary(loads: np.ndarray, psi_count: int, rejection_counters, round_load_max,
              name: str, seed: int) -> TrialResult:
-    """The TrialResult of a finished trial: its loads, ψ, r_1..r_d and per-round maxima."""
+    """The TrialResult of a finished trial: its loads, ψ, r_1..r_d and per-round maxima.
+
+    The load histogram also gives the max load (its last value) and φ (the
+    bins not at load 0), so the loads are read once.
+    """
     r = tuple(int(v) for v in rejection_counters)
-    histogram = {int(v): int(c) for v, c in enumerate(np.bincount(loads)) if c > 0}
+    counts = np.bincount(loads).tolist()
     return TrialResult(
         n=loads.size,
         d=len(r),
         m=r[0],
         strategy=name,
         seed=seed,
-        max_load=int(loads.max()),
-        histogram=histogram,
+        max_load=len(counts) - 1,
+        histogram={v: c for v, c in enumerate(counts) if c},
         rejection_counters=r,
-        phi=int(np.count_nonzero(loads)),
+        phi=loads.size - counts[0],
         psi=int(psi_count),
         chosen_counts=tuple(a - b for a, b in zip(r, r[1:] + (0,))),
         round_load_max=tuple(int(v) for v in round_load_max),

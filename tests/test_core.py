@@ -276,19 +276,32 @@ REPLAY_VALUES = pytest.mark.parametrize(
     "values,dtype", [([1, 2], np.int64), ([0.25, 0.75], np.float64)], ids=["int", "float"])
 
 
+# n = 1 draws nothing; 10 and 2**32 take numpy's 32-bit bounded path, 2**32 + 1
+# and 2**62 its 64-bit one
+STREAMS = pytest.mark.parametrize("stream,n", [
+    pytest.param("aux", 10, id="aux"),
+    pytest.param("bins", 10, id="bins"),
+    *(pytest.param("bins", n, id=f"bins-n={label}") for n, label in
+      [(1, "1"), (2**32, "2**32"), (2**32 + 1, "2**32+1"), (2**62, "2**62")]),
+])
+
+
 class TestPools:
-    # take sizes around and across the 2**16-value refill, each followed by next()
+    # take sizes around and across the 2**16-value draw floor, each followed by
+    # next(): 3 then 70,001 cross it partway through a buffer, 65,536 lands on it
     SIZES = (0, 1, 7, 65_535, 0, 3, 70_001, 1, 65_536, 131_073)
 
-    @pytest.mark.parametrize("stream", ["bins", "aux"])
-    def test_take_and_next_agree(self, stream):
+    @STREAMS
+    def test_take_and_next_agree(self, stream, n):
         def fresh():
-            pools, aux = make_pools(10, 1, seed=5)
+            pools, aux = make_pools(n, 1, seed=5)
             return pools[0] if stream == "bins" else aux
 
         pool, mixed = fresh(), []
         for k in self.SIZES:
-            mixed += pool.take(k).tolist()
+            taken = pool.take(k)
+            mixed += taken.tolist()
+            taken[:] = 0  # served values are never served again
             mixed.append(pool.next())
         assert pool.consumed == len(mixed)
         assert type(mixed[-1]) is (int if stream == "bins" else float)
@@ -299,6 +312,28 @@ class TestPools:
     def test_round_streams_differ(self):
         pools, _ = make_pools(1000, 2, seed=5)
         assert pools[0].take(50).tolist() != pools[1].take(50).tolist()
+
+    @pytest.mark.parametrize("start", [0, 1], ids=["empty", "partway"])
+    def test_pool_keeps_no_served_take(self, start):
+        pools, _ = make_pools(10, 1, seed=5)
+        for _ in range(start):
+            pools[0].next()
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            taken = pools[0].take(10**6)
+            del taken
+            held = tracemalloc.get_traced_memory()[0] - base
+        finally:
+            tracemalloc.stop()
+        assert held < 2**20
+
+    @REPLAY_VALUES
+    def test_replay_take_does_not_alias(self, values, dtype):
+        source = np.array(values, dtype)
+        taken = Pool.replay(source, dtype).take(2)
+        taken += 1
+        assert source.tolist() == values
 
     @REPLAY_VALUES
     def test_replay_exhaustion(self, values, dtype):
