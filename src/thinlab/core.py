@@ -24,6 +24,7 @@ draw, so a stream that is never read costs no seeding.
 
 from __future__ import annotations
 
+import ctypes
 import json
 import math
 import os
@@ -65,6 +66,39 @@ def _memory_bytes() -> int:
 
 
 MEMORY_BYTES = _memory_bytes()
+
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3  # glibc's mallopt parameters
+_MALLOC_ENV = ("MALLOC_MMAP_THRESHOLD_", "MALLOC_TRIM_THRESHOLD_")
+
+
+def _pin_malloc_thresholds() -> None:
+    """Pin glibc's mmap threshold at two pool blocks (1 MiB) and its trim threshold at 2 MiB.
+
+    glibc serves a request of at least the mmap threshold with its own
+    mapping, unmapped when freed, and gives back a heap's free top once it
+    passes the trim threshold.  By default it raises both thresholds each
+    time it unmaps a block, so after the first n-length array is freed at
+    n = 10⁶, such arrays come from the heaps, one per thread, and whether a
+    worker's heap keeps a trial's freed 16 MB depends on how the freed
+    arrays lie against the trim threshold.  Pinned, every array of 1 MiB or
+    more is unmapped when freed, while pool blocks and tiny trials' arrays
+    are reused from the heap, which keeps under 2 MiB free at its top.
+    Nothing changes where the environment sets either threshold, or where
+    the C library has no `mallopt`.
+    """
+    tunables = os.environ.get("GLIBC_TUNABLES", "")
+    if any(k in os.environ for k in _MALLOC_ENV) or "threshold" in tunables:
+        return
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return
+    mmap_bytes = 2 * 8 * _CHUNK
+    mallopt(_M_MMAP_THRESHOLD, mmap_bytes)
+    mallopt(_M_TRIM_THRESHOLD, 2 * mmap_bytes)
+
+
+_pin_malloc_thresholds()
 
 
 def trial_int64s(n: int, d: int, m: int) -> int:

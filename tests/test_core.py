@@ -2,7 +2,9 @@
 
 import math
 import os
+import platform
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import numpy as np
@@ -498,6 +500,31 @@ class TestTrialPeak:
         n = 10**6
         peak = traced_peak(lambda: run_trial(n, 3, n, threshold_for(n, 3), 1))
         assert peak <= 8 * 3 * n
+
+
+def resident_bytes() -> int:
+    with open("/proc/self/statm") as f:
+        return int(f.read().split()[1]) * os.sysconf("SC_PAGE_SIZE")
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="thinlab pins glibc's malloc")
+@pytest.mark.skipif(any(k in os.environ for k in core._MALLOC_ENV + ("GLIBC_TUNABLES",)),
+                    reason="the environment sets malloc's thresholds")
+class TestFreedMemory:
+    """Freed arrays of 1 MiB or more leave the process, whichever thread frees them."""
+
+    def test_worker_thread_keeps_no_freed_rows(self):
+        n = 10**6
+        np.ones(n)  # unmapping this would raise glibc's default thresholds past 8 MB
+
+        def kept() -> int:
+            before = resident_bytes()
+            take, row = np.ones(n, np.int64), np.ones(n, np.int64)
+            del take, row
+            return resident_bytes() - before
+
+        with ThreadPoolExecutor(1) as pool:
+            assert pool.submit(kept).result() < 1 << 20
 
 
 class TestHelpers:
