@@ -6,9 +6,11 @@ reports, per round i, how many balls reached that round (the rejection
 counters r_i) and the round's largest accepted count per bin, and how many
 bins were ever offered as a primary suggestion.  The per-ball `step` path
 keeps every round's accepted loads, which `decide` reads.  The whole-round
-path keeps one round's at a time: round 1's accepted counts become the
-loads, and a later round that offers few balls works on its offered bins
-alone, in time and extra memory that grow with its offers, not with n.
+path keeps one round's at a time, for a single trial and for a batch of
+trials alike: each round's offered counts are rewritten in place into its
+accepted counts, round 1's become the loads, and a later round that offers
+few balls works on its offered bins alone, in time and extra memory that
+grow with its offers, not with n.
 
 Bins are indexed 0..n-1 and ball indices are 0-based throughout.
 
@@ -105,17 +107,18 @@ def trial_int64s(n: int, d: int, m: int) -> int:
     """Estimated int64 values one trial holds at its peak.
 
     Per bin, four rows: the loads, the round's accepted counts, its offered
-    counts and one more (the mask kernel's bincount, or each key's trial
-    start in a batch).  Nothing per bin grows with d.  A single trial's counts
-    kernel holds less: it writes round 1's accepted counts over its offered
-    counts, and that row becomes the loads, so it holds one row, and a
-    second only while a later round that offers many balls is counted.  At
-    most nine m-length arrays while a mask kernel ranks every ball (the
-    take, the coins, the ranked indices and values, `occurrence_rank`'s
-    order, sorted copy and two rank arrays, and its group starts and
-    lengths, at most one pair per two ranked balls); a counts kernel needs
-    only the take and the next round's.  And at most one partly served
-    2¹⁶-value block in each of the d+1 pools.
+    counts and the mask kernel's own bincount (`within_first`).  Nothing per
+    bin grows with d, and a batch's trials·n keys count as bins.  A counts
+    kernel holds less, in single and batched trials alike: it rewrites each
+    round's offered counts into its accepted counts, and round 1's become
+    the loads, so it holds one row, and a second only while a later round
+    that offers many balls is counted.  At most nine m-length arrays while a
+    mask kernel ranks every ball (the take, the coins, the ranked indices
+    and values, `occurrence_rank`'s order, sorted copy and two rank arrays,
+    and its group starts and lengths, at most one pair per two ranked
+    balls); a counts kernel needs only the take, the next round's and its
+    trial starts.  And at most one partly served 2¹⁶-value block in each of
+    the d+1 pools.
     """
     return 4 * n + 9 * m + (d + 1) * _CHUNK
 
@@ -404,27 +407,25 @@ def _run_vectorized(current: np.ndarray, trials: int, n: int, d: int, strategy, 
     """Whole-round path for trials of n bins each; byte-identical to the step loop.
 
     `current` holds round 1's keys trial·n + bin, trial after trial, each
-    trial's balls in ball order.  Each round counts its offers per key once:
-    round 1, and a later round that offers many balls, with `bincount` over
-    every key; a later round that offers few (`_sparse_round`) with
-    `np.unique` over its offered keys alone.  A strategy with
-    `accept_counts` turns those counts into the round's accepted counts, in
-    place for a single trial; for any other strategy its sequential
+    trial's balls in ball order; every trial has the same number of balls,
+    current.size // trials.  A single trial is a batch of one.  Each round
+    counts its offers per key once: round 1, and a later round that offers
+    many balls, with `bincount` over every key; a later round that offers
+    few (`_sparse_round`) with `np.unique` over its offered keys alone.  A
+    strategy with `accept_counts` turns those counts into the round's
+    accepted counts in place; for any other strategy its sequential
     `accept_mask` picks the accepted balls, which are counted per key.
     Round 1's accepted counts become the loads and each later round's are
     added into them, so no (d, trials·n) array is made; each round's largest
-    accepted count is kept, 0 for a round with no offers.  The rejected
-    balls are re-offered at their trial's first key plus a fresh bin from
-    pools[i].  Round i+1 draws in (trial, ball) order, so only each trial's
-    rejected count matters: a single trial needs only the total, and a batch
-    repeats each key's trial start by the key's rejected count, keys being
-    in trial order.  Returns the loads, ψ (keys offered in round 1),
-    r_1..r_d and each round's largest accepted count.
+    accepted count is kept, 0 for a round with no offers.  Round i+1 draws
+    in (trial, ball) order, so only each trial's rejected count matters:
+    `waiting` holds it, and the fresh bins are offered at their trial's first
+    key.  Returns the loads, ψ (keys offered in round 1), r_1..r_d and each
+    round's largest accepted count.
     """
     accept_counts = getattr(strategy, "accept_counts", None)
     bins = trials * n
-    if trials > 1:
-        trial_start = np.arange(0, bins, n).repeat(n)
+    waiting = np.full(trials, current.size // trials)
     rejection_counters = []
     round_load_max = []
     for i in range(1, d + 1):
@@ -436,12 +437,10 @@ def _run_vectorized(current: np.ndarray, trials: int, n: int, d: int, strategy, 
             keys, offered = np.unique(current, return_counts=True)
         if i == 1:
             psi_count = np.count_nonzero(offered)
-        if i == d:
-            accepted = offered
-        elif accept_counts is not None:
-            accepted = offered if trials == 1 else np.empty_like(offered)
-            accept_counts(i, offered, accepted)
-        else:
+        accepted = offered
+        if i < d and accept_counts is not None:
+            accept_counts(i, accepted)
+        elif i < d:
             taken = current[strategy.accept_mask(i, current, aux)]
             if keys is None:
                 accepted = np.bincount(taken, minlength=bins)
@@ -455,29 +454,21 @@ def _run_vectorized(current: np.ndarray, trials: int, n: int, d: int, strategy, 
             loads[keys] += accepted
         round_load_max.append(accepted.max(initial=0))
         if i < d:
-            if trials == 1:
-                current = pools[i].take(current.size - int(accepted.sum()))
+            if keys is None:
+                waiting -= np.einsum("tb->t", accepted.reshape(trials, n))
             else:
-                offered -= accepted
-                current = pools[i].take(int(offered.sum()))
-                current += (trial_start if keys is None else keys - keys % n).repeat(offered)
+                # float64 weights, exact below 2⁵³ balls
+                waiting -= np.bincount(keys // n, accepted, trials).astype(np.int64)
+            current = pools[i].take(int(waiting.sum()))
+            current += np.arange(0, bins, n).repeat(waiting)
     return loads, psi_count, rejection_counters, round_load_max
 
 
-def run_trial(n: int, d: int, m: int, strategy, seed: int,
-              collect_records: bool = False):
-    """Run one complete trial of m balls; deterministic in (inputs, seed).
-
-    Returns a TrialResult, or (TrialResult, records) when collect_records is
-    set (record collection forces the per-ball step path).
-    """
+def run_trial(n: int, d: int, m: int, strategy, seed: int) -> TrialResult:
+    """Run one complete trial of m balls; deterministic in (inputs, seed)."""
     check_sizes(n, d, m)
     require_memory(trial_int64s(n, d, m), f"a trial with n={n}, d={d}, m={m}")
     pools, aux = make_pools(n, d, seed)
-    if collect_records:
-        state = new_state(n, d)
-        records = [step(state, strategy, pools, aux) for _ in range(m)]
-        return _result_from_state(state, strategy.name, seed), records
     return _summary(*_run_vectorized(pools[0].take(m), 1, n, d, strategy, pools, aux),
                     strategy.name, seed)
 

@@ -10,13 +10,12 @@ Each also provides `accept_mask`, the whole-round sequential acceptance mask
 used by the vectorised engine path; it must consume the aux stream exactly
 as per-ball `decide` calls would.  A strategy whose round outcome depends
 only on how many balls each bin is offered may also provide
-`accept_counts(i, offered, out)`: given the round's offers per bin, it
-writes into `out` how many of them the mask would accept.  `out` may be
-`offered` itself, which the engine passes for a single trial, so the
-kernel must work elementwise.  `offered` covers either every bin or only
-the bins offered this round, in increasing order.  The engine uses the
-method in place of the mask and never looks at single balls; an object
-without it (a delegating proxy, say) still runs through the mask.
+`accept_counts(i, offered)`: given the round's offers per bin, it rewrites
+`offered` in place into how many of them the mask would accept.  `offered`
+covers either every bin or only the bins offered this round, in increasing
+order.  The engine uses the method in place of the mask, in single and
+batched trials alike, and never looks at single balls; an object without it
+(a delegating proxy, say) still runs through the mask.
 """
 
 from __future__ import annotations
@@ -32,7 +31,8 @@ from .theory import ell
 class Strategy:
     """Base decision rule; subclasses set `name` and implement `decide` and `accept_mask`.
 
-    `accept_counts(i, offered, out)` is optional; see the module docstring.
+    `accept_counts(i, offered)`, which rewrites `offered` in place, is
+    optional; see the module docstring.
     """
 
     name = "strategy"
@@ -56,8 +56,8 @@ class AlwaysAccept(Strategy):
     def accept_mask(self, i, suggestions, aux):
         return np.ones(suggestions.size, dtype=bool)
 
-    def accept_counts(self, i, offered, out):
-        np.copyto(out, offered)
+    def accept_counts(self, i, offered):
+        """Every offer is accepted, so `offered` already holds the accepted counts."""
 
 
 class ThresholdStrategy(Strategy):
@@ -85,8 +85,8 @@ class ThresholdStrategy(Strategy):
         # accepted ones, every later offer sees count > cap.
         return within_first(suggestions, self.cap + 1)
 
-    def accept_counts(self, i, offered, out):
-        np.minimum(offered, self.cap + 1, out=out)
+    def accept_counts(self, i, offered):
+        np.minimum(offered, self.cap + 1, out=offered)
 
 
 class BetaThinning(Strategy):

@@ -12,7 +12,7 @@ import pytest
 
 from thinlab import core
 from thinlab.core import (ConfigError, DecisionRecord, Pool, PoolExhausted,
-                          greedy_int64s, make_pools, max_load,
+                          _result_from_state, greedy_int64s, make_pools, max_load,
                           mix_seed, new_state, occurrence_rank, phi, psi,
                           run_greedy_d_choice, run_trial,
                           simulate_max_load_counts, step, trial_int64s,
@@ -161,27 +161,29 @@ def reference_step_run(n, d, m, strategy, seed):
 
 
 class TestFastPathEquivalence:
+    @staticmethod
+    def step_result(n, d, m, strategy, seed):
+        state, _, _ = reference_step_run(n, d, m, strategy, seed)
+        return _result_from_state(state, strategy.name, seed)
+
     @pytest.mark.parametrize("n", [1, 2, 3, 5])
     @pytest.mark.parametrize("d", [1, 2, 3])
     @pytest.mark.parametrize("m", [0, 1, 7, 40])
     def test_threshold_matches_step_loop(self, n, d, m):
         strat = ThresholdStrategy(1.2)
         fast = run_trial(n, d, m, strat, seed=77)
-        slow, _ = run_trial(n, d, m, strat, seed=77, collect_records=True)
-        assert fast == slow
+        assert fast == self.step_result(n, d, m, strat, seed=77)
 
     @pytest.mark.parametrize("m", [0, 1, 13, 64])
     def test_beta_thinning_matches_step_loop(self, m):
         strat = BetaThinning(0.6, cap=0)
         fast = run_trial(3, 2, m, strat, seed=31)
-        slow, _ = run_trial(3, 2, m, strat, seed=31, collect_records=True)
-        assert fast == slow
+        assert fast == self.step_result(3, 2, m, strat, seed=31)
 
     def test_always_accept_matches_step_loop(self):
         strat = AlwaysAccept()
         fast = run_trial(4, 3, 25, strat, seed=3)
-        slow, _ = run_trial(4, 3, 25, strat, seed=3, collect_records=True)
-        assert fast == slow
+        assert fast == self.step_result(4, 3, 25, strat, seed=3)
 
 
 class TestProcessInvariants:
@@ -500,6 +502,12 @@ class TestTrialPeak:
         n = 10**6
         peak = traced_peak(lambda: run_trial(n, 3, n, threshold_for(n, 3), 1))
         assert peak <= 8 * 3 * n
+
+    def test_batched_threshold_trials(self):
+        n, trials = 1000, 200
+        strat = threshold_for(n, 3)
+        peak = traced_peak(lambda: simulate_max_load_counts(n, 3, n, strat, trials, 1))
+        assert peak <= 8 * 3 * trials * n
 
 
 def resident_bytes() -> int:

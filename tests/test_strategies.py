@@ -8,12 +8,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from thinlab.core import (ConfigError, make_pools, new_state, run_trial,
-                          simulate_max_load_counts, step)
+from thinlab.core import (ConfigError, _result_from_state, make_pools, new_state,
+                          run_trial, simulate_max_load_counts, step)
 from thinlab.strategies import (AlwaysAccept, BetaThinning, ThresholdStrategy,
                                 beta_thinning, make_strategy, scaled_threshold,
                                 threshold_for)
 from thinlab.theory import ell
+
+from test_core import reference_step_run
 
 
 def state_with_round_counts(n, d, counts_round1):
@@ -58,7 +60,8 @@ class TestThresholdGuarantee:
     def test_cap_plus_one_and_acceptance_counts(self, n, d, m, ell_value):
         strat = ThresholdStrategy(ell_value)
         cap = strat.cap
-        result, records = run_trial(n, d, m, strat, seed=17, collect_records=True)
+        state, records, _ = reference_step_run(n, d, m, strat, seed=17)
+        result = _result_from_state(state, strat.name, 17)
         counts = np.zeros((d, n), dtype=np.int64)
         for rec in records:
             for i, bin_index in enumerate(rec.suggestions, start=1):
@@ -95,17 +98,15 @@ class TestAcceptCounts:
 
     @settings(deadline=None)
     @given(values=st.lists(st.integers(0, 12), max_size=80), cap=st.integers(0, 3),
-           i=st.integers(1, 3), spare=st.integers(0, 3), in_place=st.booleans())
+           i=st.integers(1, 3), spare=st.integers(0, 3))
     @pytest.mark.parametrize("kind", ["threshold", "always-accept"])
-    def test_counts_equal_masked_bincount(self, kind, values, cap, i, spare, in_place):
-        # `out` may be `offered` itself
+    def test_counts_equal_masked_bincount(self, kind, values, cap, i, spare):
         strat = ThresholdStrategy(cap + 0.5) if kind == "threshold" else AlwaysAccept()
         v = np.asarray(values, dtype=np.int64)
         offered = np.bincount(v, minlength=v.max(initial=-1) + 1 + spare)
-        out = offered if in_place else np.full(offered.size, -1, dtype=np.int64)
-        strat.accept_counts(i, offered, out)
+        strat.accept_counts(i, offered)
         expected = np.bincount(v[strat.accept_mask(i, v, None)], minlength=offered.size)
-        assert out.tolist() == expected.tolist()
+        assert offered.tolist() == expected.tolist()
 
 
 class MaskOnly:
