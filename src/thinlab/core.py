@@ -108,17 +108,21 @@ def trial_int64s(n: int, d: int, m: int) -> int:
 
     Per bin, four rows: the loads, the round's accepted counts, its offered
     counts and the mask kernel's own bincount (`within_first`).  Nothing per
-    bin grows with d, and a batch's trials·n keys count as bins.  A counts
+    bin grows with d, and a batch's trials·n keys count as bins.  At most
+    nine m-length arrays while a mask kernel ranks every ball (the take, the
+    coins, the ranked indices and values, `occurrence_rank`'s order, sorted
+    copy and two rank arrays, and its group starts and lengths, at most one
+    pair per two ranked balls).  And at most one partly served 2¹⁶-value
+    block in each of the d+1 pools.
+
+    Every built-in strategy has a counts kernel, so the mask kernel now
+    serves only mask-only proxies; the estimate still covers it.  A counts
     kernel holds less, in single and batched trials alike: it rewrites each
     round's offered counts into its accepted counts, and round 1's become
     the loads, so it holds one row, and a second only while a later round
-    that offers many balls is counted.  At most nine m-length arrays while a
-    mask kernel ranks every ball (the take, the coins, the ranked indices
-    and values, `occurrence_rank`'s order, sorted copy and two rank arrays,
-    and its group starts and lengths, at most one pair per two ranked
-    balls); a counts kernel needs only the take, the next round's and its
-    trial starts.  And at most one partly served 2¹⁶-value block in each of
-    the d+1 pools.
+    that offers many balls is counted.  Besides the take, the next round's
+    and its trial starts, beta-thinning's round 1 holds one coin per ball
+    and ranks only the balls of bins offered more than cap+1 times.
     """
     return 4 * n + 9 * m + (d + 1) * _CHUNK
 
@@ -126,7 +130,9 @@ def trial_int64s(n: int, d: int, m: int) -> int:
 def greedy_int64s(n: int, d: int) -> int:
     """Estimated int64 values `run_greedy_d_choice` holds at its peak.
 
-    Per bin, the loads and ψ's one-byte flags, rounded up to two rows.  Per
+    Per bin, the loads, ψ's one-byte flags and the int64 copy of the loads
+    that `_summary`'s `bincount` makes, within two rows: the loads are one
+    byte each, or int64 with no copy made once a load may pass 255.  Per
     offer entry of one sub-block (at most d·2¹⁵ entries), twelve: the
     offers, their slots, the slot table (up to eight entries per offer) and
     its gather, with one to spare; the sorted shared entries and the parents
@@ -411,10 +417,12 @@ def _run_vectorized(current: np.ndarray, trials: int, n: int, d: int, strategy, 
     current.size // trials.  A single trial is a batch of one.  Each round
     counts its offers per key once: round 1, and a later round that offers
     many balls, with `bincount` over every key; a later round that offers
-    few (`_sparse_round`) with `np.unique` over its offered keys alone.  A
-    strategy with `accept_counts` turns those counts into the round's
-    accepted counts in place; for any other strategy its sequential
-    `accept_mask` picks the accepted balls, which are counted per key.
+    few (`_sparse_round`) with `np.unique` over its offered keys alone, so
+    round 1's counts always cover every key.  A strategy with
+    `accept_counts` turns those counts into the round's accepted counts in
+    place, given the round's keys and the aux stream as well; for any other
+    strategy (a mask-only proxy) its sequential `accept_mask` picks the
+    accepted balls, which are counted per key.
     Round 1's accepted counts become the loads and each later round's are
     added into them, so no (d, trials·n) array is made; each round's largest
     accepted count is kept, 0 for a round with no offers.  Round i+1 draws
@@ -439,7 +447,7 @@ def _run_vectorized(current: np.ndarray, trials: int, n: int, d: int, strategy, 
             psi_count = np.count_nonzero(offered)
         accepted = offered
         if i < d and accept_counts is not None:
-            accept_counts(i, accepted)
+            accept_counts(i, accepted, current, aux)
         elif i < d:
             taken = current[strategy.accept_mask(i, current, aux)]
             if keys is None:
@@ -513,32 +521,49 @@ def _parents(offers: np.ndarray) -> np.ndarray:
     return parents.reshape(d, size)
 
 
-def _place_least_loaded(loads: np.ndarray, offers: np.ndarray) -> None:
+def _room(loads: np.ndarray, top: int) -> np.ndarray:
+    """`loads`, widened from uint8 to int64 once their max `top` leaves no room for one more ball."""
+    if top == 255 and loads.dtype == np.uint8:
+        return loads.astype(np.int64)
+    return loads
+
+
+def _place_least_loaded(loads: np.ndarray, offers: np.ndarray, top: int):
     """Place one sub-block of balls, ball t offered offers[:, t], in ball order.
 
     Each ball goes to its least-loaded offer, the lowest bin index on ties.
     A ball's wave is 1 + the largest wave among its parents (`_parents`), 0
     without one.  Balls of one wave share no bin, so one gather, compare and
     scatter places a whole wave, and each bin still sees its balls in order.
+    `top` is the loads' max; a wave raises it by at most one, so uint8 loads
+    are widened (`_room`) before a wave that could pass 255.  Returns the
+    loads, widened or not, and their max.
     """
     size = offers.shape[1]
     parents = _parents(offers)
     # wave 0 reads the loads the sub-block starts from
+    loads = _room(loads, top)
     best, held = _least_loaded(loads, offers)
     waiting = parents.min(axis=0) < size
     free = ~waiting
-    loads[best[free]] = held[free] + 1
+    held = held[free] + 1
+    loads[best[free]] = held
+    top = max(top, int(held.max(initial=0)))
     placed = np.append(free, True)  # entry `size` stands for "no parent"
     pending = np.flatnonzero(waiting)
     parents = parents[:, pending]
     while pending.size:
         ready = placed[parents].all(axis=0)
         wave = pending[ready]
+        loads = _room(loads, top)
         best, held = _least_loaded(loads, offers[:, wave])
-        loads[best] = held + 1
+        held += 1
+        loads[best] = held
+        top = max(top, int(held.max()))
         placed[wave] = True
         pending = pending[~ready]
         parents = parents[:, ~ready]
+    return loads, top
 
 
 def run_greedy_d_choice(n: int, d: int, m: int, seed: int) -> TrialResult:
@@ -558,20 +583,22 @@ def run_greedy_d_choice(n: int, d: int, m: int, seed: int) -> TrialResult:
     loop's, byte for byte.  With B near 16·√n a sub-block holds about
     (d·B)²/2n = 128·d² pairs of offers of one bin at any n, so the waves
     stay few.  Pool takes do not depend on how they are split, so B changes
-    no drawn value.
+    no drawn value.  The loads are held in one byte each, so at n = 10⁶ the
+    row stays in cache, until a wave could raise one past 255; from then on
+    they are int64.
     """
     check_sizes(n, d, m)
     require_memory(greedy_int64s(n, d), f"a greedy trial with n={n}, d={d}, m={m}")
-    loads = np.zeros(n, dtype=np.int64)
+    loads, top = np.zeros(n, dtype=np.uint8), 0
     seen = np.zeros(n, dtype=bool)
     pools, _ = make_pools(n, d, seed)
     block = min(_CHUNK // 2, 16 * math.isqrt(n))
     for start in range(0, m, block):
         offers = np.stack([pool.take(min(block, m - start)) for pool in pools])
         seen[offers[0]] = True
-        _place_least_loaded(loads, offers)
+        loads, top = _place_least_loaded(loads, offers, top)
     rest = [0] * (d - 1)
-    return _summary(loads, np.count_nonzero(seen), [m] + rest, [loads.max()] + rest,
+    return _summary(loads, np.count_nonzero(seen), [m] + rest, [top] + rest,
                     f"greedy-{d}-choice", seed)
 
 

@@ -8,14 +8,16 @@ never consults the strategy there.
 Strategies are immutable after construction and safe to share across trials.
 Each also provides `accept_mask`, the whole-round sequential acceptance mask
 used by the vectorised engine path; it must consume the aux stream exactly
-as per-ball `decide` calls would.  A strategy whose round outcome depends
-only on how many balls each bin is offered may also provide
-`accept_counts(i, offered)`: given the round's offers per bin, it rewrites
-`offered` in place into how many of them the mask would accept.  `offered`
-covers either every bin or only the bins offered this round, in increasing
-order.  The engine uses the method in place of the mask, in single and
-batched trials alike, and never looks at single balls; an object without it
-(a delegating proxy, say) still runs through the mask.
+as per-ball `decide` calls would.  A strategy may also provide
+`accept_counts(i, offered, suggestions, aux)`: given the round's offers per
+bin, it rewrites `offered` in place into how many of them the mask would
+accept, reading the aux stream exactly as `accept_mask` would.
+`suggestions` is the round's offered bins (the keys of a batch) in ball
+order.  Round 1's `offered` covers every key, so it is indexed by the
+suggestions themselves; a later round's covers either every key or only the
+keys offered in that round, in increasing order.  The engine uses the method
+in place of the mask, in single and batched trials alike; an object without
+it (a delegating proxy, say) still runs through the mask.
 """
 
 from __future__ import annotations
@@ -24,15 +26,15 @@ import math
 
 import numpy as np
 
-from .core import ConfigError, within_first
+from .core import ConfigError, occurrence_rank, within_first
 from .theory import ell
 
 
 class Strategy:
     """Base decision rule; subclasses set `name` and implement `decide` and `accept_mask`.
 
-    `accept_counts(i, offered)`, which rewrites `offered` in place, is
-    optional; see the module docstring.
+    `accept_counts(i, offered, suggestions, aux)`, which rewrites `offered`
+    in place, is optional; see the module docstring.
     """
 
     name = "strategy"
@@ -56,7 +58,7 @@ class AlwaysAccept(Strategy):
     def accept_mask(self, i, suggestions, aux):
         return np.ones(suggestions.size, dtype=bool)
 
-    def accept_counts(self, i, offered):
+    def accept_counts(self, i, offered, suggestions, aux):
         """Every offer is accepted, so `offered` already holds the accepted counts."""
 
 
@@ -85,7 +87,7 @@ class ThresholdStrategy(Strategy):
         # accepted ones, every later offer sees count > cap.
         return within_first(suggestions, self.cap + 1)
 
-    def accept_counts(self, i, offered):
+    def accept_counts(self, i, offered, suggestions, aux):
         np.minimum(offered, self.cap + 1, out=offered)
 
 
@@ -122,6 +124,22 @@ class BetaThinning(Strategy):
             return np.ones(suggestions.size, dtype=bool)
         u = aux.take(suggestions.size)
         return within_first(suggestions, self.cap + 1) | (u >= self.beta)
+
+    def accept_counts(self, i, offered, suggestions, aux):
+        """Round 1: each bin loses its balls after the first cap+1 whose coin is below beta.
+
+        One coin per ball is taken, as `accept_mask` takes them; only the
+        balls of bins offered more than cap+1 times are ranked.
+        """
+        if i != 1:
+            return
+        u = aux.take(suggestions.size)
+        k = self.cap + 1
+        over = np.flatnonzero((offered > k)[suggestions])
+        if over.size:
+            late = over[occurrence_rank(suggestions[over]) >= k]
+            bins, refused = np.unique(suggestions[late[u[late] < self.beta]], return_counts=True)
+            offered[bins] -= refused
 
 
 def threshold_for(n: int, d: int) -> ThresholdStrategy:

@@ -192,8 +192,9 @@ class TestGreedyAgreement:
 
     @staticmethod
     def check(n, d, m, seed):
-        assert run_greedy_d_choice(n, d, m, seed).to_json() == \
-            naive_greedy_run(n, d, m, seed).to_json()
+        result = run_greedy_d_choice(n, d, m, seed)
+        assert result.to_json() == naive_greedy_run(n, d, m, seed).to_json()
+        return result
 
     @pytest.mark.parametrize("d", [1, 2, 3, 4])
     @pytest.mark.parametrize("n", [1, 2, 3, 7, 10])
@@ -206,6 +207,12 @@ class TestGreedyAgreement:
     @pytest.mark.parametrize("n,d", [(2, 2), (10, 3)])
     def test_dense_long(self, n, d):
         self.check(n, d, 10**4, seed=71)
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_loads_past_one_byte(self, d):
+        # 300 balls a bin in 160-ball sub-blocks of many balls per wave: the
+        # one-byte loads are widened partway through the trial
+        assert self.check(100, d, 3 * 10**4, seed=73 + d).max_load > 255
 
     def test_sparse(self):
         # many bins: few offers of a 5,056-ball sub-block share a bin

@@ -19,7 +19,7 @@ from thinlab.core import (ConfigError, DecisionRecord, Pool, PoolExhausted,
                           within_first)
 from thinlab.experiments import ExperimentConfig, run_experiment
 from thinlab.strategies import (AlwaysAccept, BetaThinning, ThresholdStrategy,
-                                threshold_for)
+                                make_strategy, threshold_for)
 
 
 def cap0_threshold():
@@ -502,6 +502,13 @@ class TestTrialPeak:
         n = 10**6
         peak = traced_peak(lambda: run_trial(n, 3, n, threshold_for(n, 3), 1))
         assert peak <= 8 * 3 * n
+
+    def test_beta_thinning_trial_at_a_million_bins(self):
+        # the coins, the take and the row; the ranked balls are few
+        n = 10**6
+        peak = traced_peak(lambda: run_trial(
+            n, 2, n, make_strategy("beta-thinning:beta=0.5", n, 2), 1))
+        assert peak <= 8 * 3.5 * n
 
     def test_batched_threshold_trials(self):
         n, trials = 1000, 200

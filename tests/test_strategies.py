@@ -98,14 +98,16 @@ class TestAcceptCounts:
 
     @settings(deadline=None)
     @given(values=st.lists(st.integers(0, 12), max_size=80), cap=st.integers(0, 3),
-           i=st.integers(1, 3), spare=st.integers(0, 3))
-    @pytest.mark.parametrize("kind", ["threshold", "always-accept"])
-    def test_counts_equal_masked_bincount(self, kind, values, cap, i, spare):
-        strat = ThresholdStrategy(cap + 0.5) if kind == "threshold" else AlwaysAccept()
+           i=st.integers(1, 3), spare=st.integers(0, 3), seed=st.integers(0, 2**32))
+    @pytest.mark.parametrize("kind", ["threshold", "always-accept", "beta-thinning"])
+    def test_counts_equal_masked_bincount(self, kind, values, cap, i, spare, seed):
+        strat = {"threshold": ThresholdStrategy(cap + 0.5), "always-accept": AlwaysAccept(),
+                 "beta-thinning": BetaThinning(0.5, cap)}[kind]
         v = np.asarray(values, dtype=np.int64)
         offered = np.bincount(v, minlength=v.max(initial=-1) + 1 + spare)
-        strat.accept_counts(i, offered)
-        expected = np.bincount(v[strat.accept_mask(i, v, None)], minlength=offered.size)
+        strat.accept_counts(i, offered, v, make_pools(1, 1, seed)[1])
+        expected = np.bincount(v[strat.accept_mask(i, v, make_pools(1, 1, seed)[1])],
+                               minlength=offered.size)
         assert offered.tolist() == expected.tolist()
 
 
@@ -127,17 +129,19 @@ class MaskOnly:
 class TestMaskOnlyStrategy:
     """An object without `accept_counts` runs through the mask kernel, to the same bytes."""
 
-    STRATEGIES = [ThresholdStrategy(0.5), ThresholdStrategy(1.5), AlwaysAccept()]
+    STRATEGIES = [ThresholdStrategy(0.5), ThresholdStrategy(1.5), AlwaysAccept(),
+                  BetaThinning(0.5, 0), BetaThinning(0.9, 1)]
+    IDS = ["cap0", "cap1", "always", "beta0.5-cap0", "beta0.9-cap1"]
 
     @pytest.mark.parametrize("d", [1, 2, 3])
-    @pytest.mark.parametrize("strat", STRATEGIES, ids=["cap0", "cap1", "always"])
+    @pytest.mark.parametrize("strat", STRATEGIES, ids=IDS)
     def test_trial_matches_bare_strategy(self, strat, d):
         for n, m, seed in ((1, 5, 1), (7, 40, 2), (500, 1500, 3)):
             wrapped = run_trial(n, d, m, MaskOnly(strat), seed)
             assert wrapped.to_json() == run_trial(n, d, m, strat, seed).to_json()
 
     @pytest.mark.parametrize("d", [1, 2, 3])
-    @pytest.mark.parametrize("strat", STRATEGIES, ids=["cap0", "cap1", "always"])
+    @pytest.mark.parametrize("strat", STRATEGIES, ids=IDS)
     def test_batched_table_matches_bare_strategy(self, strat, d):
         for n, m, trials in ((3, 4, 2000), (5, 9, 300)):
             wrapped = simulate_max_load_counts(n, d, m, MaskOnly(strat), trials, seed=4)
