@@ -50,14 +50,16 @@ class PoolExhausted(RuntimeError):
     """A finite replay pool ran out of values."""
 
 
-def check_sizes(n: int, d: int, m: int = 0) -> None:
-    """Refuse a process with no bins, no rounds or a negative ball count."""
+def check_sizes(n: int, d: int, m: int = 0, seed: int = 0) -> None:
+    """Refuse a process with no bins, no rounds, a negative ball count or a negative seed."""
     if n < 1:
         raise ConfigError(f"bin count must be >= 1, got {n}")
     if d < 1:
         raise ConfigError(f"thinning depth must be >= 1, got {d}")
     if m < 0:
         raise ConfigError(f"ball count must be >= 0, got {m}")
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
 
 
 def _memory_bytes() -> int:
@@ -106,25 +108,23 @@ _pin_malloc_thresholds()
 def trial_int64s(n: int, d: int, m: int) -> int:
     """Estimated int64 values one trial holds at its peak.
 
-    Per bin, four rows: the loads, the round's accepted counts, its offered
-    counts and the mask kernel's own bincount (`within_first`).  Nothing per
-    bin grows with d, and a batch's trials·n keys count as bins.  At most
-    nine m-length arrays while a mask kernel ranks every ball (the take, the
-    coins, the ranked indices and values, `occurrence_rank`'s order, sorted
-    copy and two rank arrays, and its group starts and lengths, at most one
-    pair per two ranked balls).  And at most one partly served 2¹⁶-value
-    block in each of the d+1 pools.
+    Per bin, three rows: the loads, the round's offered counts and, under the
+    mask kernel, its accepted counts.  Nothing per bin grows with d, and a
+    batch's trials·n keys count as bins.  At most nine m-length arrays while
+    the mask kernel ranks a round's balls: the take, the coins, and
+    `occurrence_rank`'s order, sorted copy, two rank arrays and its group
+    starts and lengths (one pair per distinct bin), with one to spare.  And
+    at most one partly served 2¹⁶-value block in each of the d+1 pools.
 
-    Every built-in strategy has a counts kernel, so the mask kernel now
-    serves only mask-only proxies; the estimate still covers it.  A counts
-    kernel holds less, in single and batched trials alike: it rewrites each
-    round's offered counts into its accepted counts, and round 1's become
-    the loads, so it holds one row, and a second only while a later round
-    that offers many balls is counted.  Besides the take, the next round's
-    and its trial starts, beta-thinning's round 1 holds one coin per ball
-    and ranks only the balls of bins offered more than cap+1 times.
+    The counts kernels hold less, in single and batched trials alike: each
+    round's offered counts are rewritten into its accepted counts, and round
+    1's become the loads, so one row is held, and a second only while a
+    later round that offers many balls is counted.  Besides the take, the
+    next round's and its trial starts, beta-thinning's round 1 holds one
+    coin per ball and ranks only the balls of bins offered more than cap+1
+    times.
     """
-    return 4 * n + 9 * m + (d + 1) * _CHUNK
+    return 3 * n + 9 * m + (d + 1) * _CHUNK
 
 
 def greedy_int64s(n: int, d: int) -> int:
@@ -162,13 +162,13 @@ class Pool:
     `draw(k)` returns the stream's next k values.  A seeded pool's draws are
     numpy PCG64 bounded-integer or double draws, which give the same values
     however the stream is split into calls, so the values served depend only
-    on the seed, never on how take() and next() calls split them.  A take
-    the buffer cannot serve makes one draw of what it lacks, at least 2¹⁶
-    values, so that next() and tiny takes stay cheap; the rest stays
-    buffered.  A take is a slice of the buffer or of the fresh draw, copied
-    only when it joins a leftover to fresh values, and a buffer served in
-    full is dropped, so the pool keeps no take alive.  Served values are
-    never served again, so callers may write into a take.  A replay pool
+    on the seed, never on how takes split them.  A take the buffer cannot
+    serve makes one draw of what it lacks, at least 2¹⁶ values, so that
+    tiny takes stay cheap; the rest stays buffered.  next() is a take of
+    one.  A take is a slice of the buffer or of the fresh draw, copied only
+    when it joins a leftover to fresh values, and a buffer served in full
+    is dropped, so the pool keeps no take alive.  Served values are never
+    served again, so callers may write into a take.  A replay pool
     (`Pool.replay`) holds a copy of its values and raises PoolExhausted when
     asked for more.
     """
@@ -205,12 +205,7 @@ class Pool:
         return out
 
     def next(self):
-        if self._pos == self._buf.size:
-            self._buf, self._pos = self._draw(_CHUNK), 0
-        v = self._buf.item(self._pos)
-        self._pos += 1
-        self.consumed += 1
-        return v
+        return self.take(1).item()
 
 
 def _generator(*key: int) -> np.random.Generator:
@@ -474,7 +469,7 @@ def _run_vectorized(current: np.ndarray, trials: int, n: int, d: int, strategy, 
 
 def run_trial(n: int, d: int, m: int, strategy, seed: int) -> TrialResult:
     """Run one complete trial of m balls; deterministic in (inputs, seed)."""
-    check_sizes(n, d, m)
+    check_sizes(n, d, m, seed)
     require_memory(trial_int64s(n, d, m), f"a trial with n={n}, d={d}, m={m}")
     pools, aux = make_pools(n, d, seed)
     return _summary(*_run_vectorized(pools[0].take(m), 1, n, d, strategy, pools, aux),
@@ -587,7 +582,7 @@ def run_greedy_d_choice(n: int, d: int, m: int, seed: int) -> TrialResult:
     row stays in cache, until a wave could raise one past 255; from then on
     they are int64.
     """
-    check_sizes(n, d, m)
+    check_sizes(n, d, m, seed)
     require_memory(greedy_int64s(n, d), f"a greedy trial with n={n}, d={d}, m={m}")
     loads, top = np.zeros(n, dtype=np.uint8), 0
     seen = np.zeros(n, dtype=bool)
@@ -605,6 +600,7 @@ def run_greedy_d_choice(n: int, d: int, m: int, seed: int) -> TrialResult:
 def per_trial_max_load_counts(n: int, d: int, m: int, strategy, trials: int,
                               seed: int) -> dict[int, int]:
     """Max-load frequency table of `run_trial` j with seed mix_seed(seed, j)."""
+    check_sizes(n, d, m, seed)
     return dict(Counter(run_trial(n, d, m, strategy, mix_seed(seed, j)).max_load
                         for j in range(trials)))
 
@@ -627,7 +623,7 @@ def simulate_max_load_counts(n: int, d: int, m: int, strategy, trials: int,
     POOL_TAG, 0)): round 1 takes trials·m values, trial after trial, and each
     later round one per rejected ball, in (trial, ball) order.
     """
-    check_sizes(n, d, m)
+    check_sizes(n, d, m, seed)
     if trials < 1:
         raise ConfigError(f"trial count must be >= 1, got {trials}")
     require_memory(trial_int64s(trials * n, d, trials * m),
@@ -659,18 +655,3 @@ def occurrence_rank(values: np.ndarray) -> np.ndarray:
     out = np.empty(s.size, dtype=np.int64)
     out[order] = ranks_sorted
     return out
-
-
-def within_first(values: np.ndarray, k: int) -> np.ndarray:
-    """Mask of the elements among the first k occurrences of their value.
-
-    Equal to `occurrence_rank(values) < k`, but only the elements whose value
-    occurs more than k times are ranked; every other element is in.  Values
-    must be non-negative integers: one bincount over 0..max(values) finds the
-    values that occur more than k times.
-    """
-    over = np.flatnonzero((np.bincount(values) > k)[values])
-    mask = np.ones(values.size, dtype=bool)
-    if over.size:
-        mask[over] = occurrence_rank(values[over]) < k
-    return mask

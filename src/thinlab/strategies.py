@@ -3,21 +3,22 @@
 A strategy answers accept/reject for the round-i offer of the current ball,
 reading only the observable allocation state and (optionally) its own
 auxiliary randomness stream.  Round d is always an accept and the engine
-never consults the strategy there.
+never consults the strategy there.  Strategies are immutable after
+construction and safe to share across trials.
 
-Strategies are immutable after construction and safe to share across trials.
-Each also provides `accept_mask`, the whole-round sequential acceptance mask
-used by the vectorised engine path; it must consume the aux stream exactly
-as per-ball `decide` calls would.  A strategy may also provide
-`accept_counts(i, offered, suggestions, aux)`: given the round's offers per
-bin, it rewrites `offered` in place into how many of them the mask would
-accept, reading the aux stream exactly as `accept_mask` would.
-`suggestions` is the round's offered bins (the keys of a batch) in ball
-order.  Round 1's `offered` covers every key, so it is indexed by the
-suggestions themselves; a later round's covers either every key or only the
-keys offered in that round, in increasing order.  The engine uses the method
-in place of the mask, in single and batched trials alike; an object without
-it (a delegating proxy, say) still runs through the mask.
+A strategy has three views of one rule.  `decide` is the per-ball rule that
+`step` and the oracle call.  `accept_counts(i, offered, suggestions, aux)` is
+the engine's round kernel: given the round's offers per bin, it rewrites
+`offered` in place into how many of them are accepted.  `suggestions` is the
+round's offered bins (the keys of a batch) in ball order.  Round 1's
+`offered` covers every key, so it is indexed by the suggestions themselves;
+a later round's covers either every key or only the keys offered in that
+round, in increasing order.  `accept_mask(i, suggestions, aux)` is the
+sequential reference: the mask of the round's accepted balls, stated as the
+rule is defined.  The engine runs it only for an object without
+`accept_counts`, such as a delegating proxy, and tests compare the two
+kernels byte for byte.  All three read the aux stream alike: the values,
+in the order, that per-ball `decide` calls would read.
 """
 
 from __future__ import annotations
@@ -26,15 +27,15 @@ import math
 
 import numpy as np
 
-from .core import ConfigError, occurrence_rank, within_first
+from .core import ConfigError, occurrence_rank
 from .theory import ell
 
 
 class Strategy:
-    """Base decision rule; subclasses set `name` and implement `decide` and `accept_mask`.
+    """Base decision rule; subclasses set `name` and implement all three views.
 
-    `accept_counts(i, offered, suggestions, aux)`, which rewrites `offered`
-    in place, is optional; see the module docstring.
+    `decide` is the per-ball rule, `accept_counts` the engine's round kernel
+    and `accept_mask` its sequential reference; see the module docstring.
     """
 
     name = "strategy"
@@ -83,9 +84,8 @@ class ThresholdStrategy(Strategy):
         return int(state.round_loads[i - 1][bin_index]) <= self.cap
 
     def accept_mask(self, i, suggestions, aux):
-        # Sequentially exact: a bin's first cap+1 round-i offers are the
-        # accepted ones, every later offer sees count > cap.
-        return within_first(suggestions, self.cap + 1)
+        # a bin's first cap+1 round-i offers are accepted; every later one sees count > cap
+        return occurrence_rank(suggestions) <= self.cap
 
     def accept_counts(self, i, offered, suggestions, aux):
         np.minimum(offered, self.cap + 1, out=offered)
@@ -123,7 +123,7 @@ class BetaThinning(Strategy):
         if i != 1:
             return np.ones(suggestions.size, dtype=bool)
         u = aux.take(suggestions.size)
-        return within_first(suggestions, self.cap + 1) | (u >= self.beta)
+        return (occurrence_rank(suggestions) <= self.cap) | (u >= self.beta)
 
     def accept_counts(self, i, offered, suggestions, aux):
         """Round 1: each bin loses its balls after the first cap+1 whose coin is below beta.

@@ -13,10 +13,9 @@ import pytest
 from thinlab import core
 from thinlab.core import (ConfigError, DecisionRecord, Pool, PoolExhausted,
                           _result_from_state, greedy_int64s, make_pools, max_load,
-                          mix_seed, new_state, occurrence_rank, phi, psi,
-                          run_greedy_d_choice, run_trial,
-                          simulate_max_load_counts, step, trial_int64s,
-                          within_first)
+                          mix_seed, new_state, occurrence_rank, per_trial_max_load_counts,
+                          phi, psi, run_greedy_d_choice, run_trial,
+                          simulate_max_load_counts, step, trial_int64s)
 from thinlab.experiments import ExperimentConfig, run_experiment
 from thinlab.strategies import (AlwaysAccept, BetaThinning, ThresholdStrategy,
                                 make_strategy, threshold_for)
@@ -408,7 +407,10 @@ class TestMemoryRefusal:
 
 
 class TestBoundaryChecks:
-    """Every allocator refuses n < 1, d < 1, m < 0 and no trials before estimating memory."""
+    """Every allocator refuses bad input before estimating memory.
+
+    Bad input is n < 1, d < 1, m < 0, a negative seed, or no trials.
+    """
 
     @pytest.fixture(autouse=True)
     def no_memory(self, monkeypatch):
@@ -432,6 +434,18 @@ class TestBoundaryChecks:
     def test_greedy(self, n, d, m, message):
         with pytest.raises(ConfigError, match=message):
             run_greedy_d_choice(n, d, m, 1)
+
+    # with no balls nothing is drawn, so only the check refuses the seed
+    @pytest.mark.parametrize("m", [0, 3])
+    @pytest.mark.parametrize("run", [
+        lambda m: run_trial(10, 2, m, ThresholdStrategy(1.5), -1),
+        lambda m: run_greedy_d_choice(10, 2, m, -1),
+        lambda m: simulate_max_load_counts(10, 2, m, ThresholdStrategy(1.5), 10, -1),
+        lambda m: per_trial_max_load_counts(10, 2, m, ThresholdStrategy(1.5), 10, -1),
+    ], ids=["trial", "greedy", "batched-counts", "per-trial-counts"])
+    def test_negative_seed(self, run, m):
+        with pytest.raises(ConfigError, match="seed must be >= 0, got -1"):
+            run(m)
 
 
 def traced_peak(run) -> int:
@@ -476,6 +490,16 @@ class TestMemoryEstimates:
         peak = traced_peak(lambda: run_trial(n, 1, n, AlwaysAccept(), seed=1))
         assert 8 * trial_int64s(n, 1, n) >= peak
 
+    @pytest.mark.parametrize("d,strat", [
+        (2, ThresholdStrategy(0.5)), (3, ThresholdStrategy(0.5)), (2, BetaThinning(0.9, 0))],
+        ids=["threshold-cap0-d2", "threshold-cap0-d3", "beta0.9-cap0"])
+    def test_mask_kernel_trial(self, d, strat):
+        from test_strategies import MaskOnly  # test_strategies imports this module
+
+        n = self.N
+        peak = traced_peak(lambda: run_trial(n, d, n, MaskOnly(strat), seed=1))
+        assert 8 * trial_int64s(n, d, n) >= peak
+
     @pytest.mark.parametrize("d,balls_per_bin", [(2, 1), (3, 1), (2, 10)],
                              ids=["2", "3", "2-m=10n"])
     def test_greedy_trial(self, d, balls_per_bin):
@@ -496,7 +520,10 @@ class TestMemoryEstimates:
 
 
 class TestTrialPeak:
-    """A counts-kernel trial holds its round-1 take and one row of loads, not four rows."""
+    """A counts-kernel trial holds its round-1 take and one row of loads.
+
+    That is less than the three rows `trial_int64s` budgets for the mask kernel.
+    """
 
     def test_threshold_trial_at_a_million_bins(self):
         n = 10**6
@@ -553,22 +580,6 @@ class TestHelpers:
                 expected.append(seen.get(v, 0))
                 seen[v] = seen.get(v, 0) + 1
             assert occurrence_rank(values).tolist() == expected
-
-    @pytest.mark.parametrize("k", [1, 2, 3, 4])
-    def test_within_first_brute_force(self, k):
-        rng = np.random.default_rng(k)
-        cases = [np.empty(0, np.int64), np.full(9, 4),
-                 rng.choice([0, 7, 99_999, 10**6], size=40)]
-        cases += [rng.integers(0, 6, size=rng.integers(0, 40)) for _ in range(20)]
-        for values in cases:
-            seen = {}
-            expected = []
-            for v in values.tolist():
-                expected.append(seen.get(v, 0) < k)
-                seen[v] = seen.get(v, 0) + 1
-            mask = within_first(values, k)
-            assert mask.dtype == bool
-            assert mask.tolist() == expected
 
     def test_mix_seed_reference_values(self):
         assert mix_seed(0, 0) == 16294208416658607535
