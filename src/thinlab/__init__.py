@@ -1,8 +1,8 @@
 """thinlab: a simulation laboratory for balanced allocation under d-thinning."""
 
 from .core import (AllocationState, ConfigError, DecisionRecord, Pool,
-                   PoolExhausted, TrialResult, make_pools, max_load, mix_seed,
-                   new_state, phi, psi, run_greedy_d_choice, run_trial, step)
+                   PoolExhausted, TrialResult, make_pools, mix_seed, new_state,
+                   run_greedy_d_choice, run_trial, step)
 from .experiments import (AggregateResult, ExperimentConfig, balls_from_rho,
                           emit, run_experiment, sweep)
 from .oracle import (ExactDistribution, OracleBudgetExceeded, compare_empirical,

@@ -239,43 +239,30 @@ def make_pools(n: int, d: int, seed: int) -> tuple[list[Pool], Pool]:
 class AllocationState:
     """Live state of one per-ball run (`step`, and the oracle's tree walk).
 
-    loads[m] is the total load of bin m; round_loads[i-1][m] counts balls that
-    accepted bin m at round i; rejection_counters[i-1] is r_i(t), the number
-    of balls whose first i-1 offers were all rejected (r_1 = t); psi_seen[m]
-    flags bins ever offered as a primary.
+    t balls have been placed.  round_loads[i-1][b] counts the balls that
+    accepted bin b at round i, so bin b's load is round_loads[:, b].sum()
+    and r_i, the balls that reached round i, is the total of rows i..d.
+    psi_seen[b] flags bins ever offered as a primary.  `decide` reads these
+    fields; `_result_from_state` derives a run's numbers from them.
     """
 
     n: int
     d: int
     t: int
-    loads: np.ndarray
     round_loads: np.ndarray
-    rejection_counters: np.ndarray
     psi_seen: np.ndarray
 
     def validate(self) -> None:
-        """Assert the structural invariants; used by tests after every run."""
-        assert int(self.loads.sum()) == self.t
+        """Assert the structural invariants: round_loads holds t balls and no negative count."""
         assert int(self.round_loads.sum()) == self.t
-        r = self.rejection_counters
-        assert r[0] == self.t
-        assert all(int(r[i]) >= int(r[i + 1]) for i in range(self.d - 1))
-        assert int(r[self.d - 1]) >= 0
-        assert np.array_equal(self.round_loads.sum(axis=0), self.loads)
+        assert int(self.round_loads.min()) >= 0
 
 
 def new_state(n: int, d: int) -> AllocationState:
     """Fresh state for n bins and thinning depth d (no balls placed)."""
     check_sizes(n, d)
-    return AllocationState(
-        n=n,
-        d=d,
-        t=0,
-        loads=np.zeros(n, dtype=np.int64),
-        round_loads=np.zeros((d, n), dtype=np.int64),
-        rejection_counters=np.zeros(d, dtype=np.int64),
-        psi_seen=np.zeros(n, dtype=bool),
-    )
+    return AllocationState(n=n, d=d, t=0, round_loads=np.zeros((d, n), dtype=np.int64),
+                           psi_seen=np.zeros(n, dtype=bool))
 
 
 @dataclass(frozen=True)
@@ -306,32 +293,10 @@ def step(state: AllocationState, strategy, pools, aux=None) -> DecisionRecord:
             chosen = i
             final = b
             break
-    state.loads[final] += 1
-    state.round_loads[chosen - 1][final] += 1
-    state.rejection_counters[:chosen] += 1
+    state.round_loads[chosen - 1, final] += 1
     state.psi_seen[suggestions[0]] = True
     state.t += 1
     return DecisionRecord(t=state.t - 1, chosen=chosen, suggestions=tuple(suggestions), final=final)
-
-
-# ---------------------------------------------------------------------------
-# statistics
-# ---------------------------------------------------------------------------
-
-
-def max_load(state: AllocationState) -> int:
-    """Maximum bin load."""
-    return int(state.loads.max())
-
-
-def phi(state: AllocationState) -> int:
-    """Number of non-empty bins."""
-    return int((state.loads > 0).sum())
-
-
-def psi(state: AllocationState) -> int:
-    """Number of bins ever offered as a primary suggestion."""
-    return int(state.psi_seen.sum())
 
 
 # ---------------------------------------------------------------------------
@@ -388,9 +353,15 @@ def _summary(loads: np.ndarray, psi_count: int, rejection_counters, round_load_m
 
 
 def _result_from_state(state: AllocationState, name: str, seed: int) -> TrialResult:
-    """The TrialResult of a state the per-ball `step` path filled."""
-    return _summary(state.loads, psi(state), state.rejection_counters,
-                    state.round_loads.max(axis=1), name, seed)
+    """The TrialResult of a state the per-ball `step` path filled.
+
+    The loads are round_loads' column sums, and r_i is the number of balls
+    accepted in rounds i..d: the row totals summed from the last row back.
+    """
+    rounds = state.round_loads
+    r = rounds.sum(axis=1)[::-1].cumsum()[::-1]
+    return _summary(rounds.sum(axis=0), np.count_nonzero(state.psi_seen), r,
+                    rounds.max(axis=1), name, seed)
 
 
 def _sparse_round(offers: int, bins: int) -> bool:

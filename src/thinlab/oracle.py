@@ -5,11 +5,15 @@ ball branches over the n equally likely suggestions, so each leaf carries an
 exact rational weight (1/n)**(number of draws).  The walk re-implements the
 process transition rather than calling the engine's step(), which is what
 lets it act as an independent validator: the engine's Monte Carlo
-frequencies are checked against the enumerated masses.
+frequencies are checked against the enumerated masses.  It keeps one
+`AllocationState`: a branch that places a ball adds it to `round_loads` and
+`t`, a round-1 branch flags its bin in `psi_seen`, and each branch undoes
+what it changed on return.  A leaf's max load is the largest column sum of
+`round_loads`.
 
-Only strategies whose decisions are deterministic functions of the
-observable state qualify; a strategy that consults its randomness stream is
-rejected (the stub stream raises).
+Only strategies whose decisions are deterministic functions of that state
+qualify; a strategy that consults its randomness stream is rejected (the
+stub stream raises `ConfigError`).
 """
 
 from __future__ import annotations
@@ -74,7 +78,7 @@ def exact_distribution(n: int, d: int, m: int, strategy,
 
     def walk_ball(ball: int, weight: Fraction) -> None:
         if ball == m:
-            top = int(state.loads.max())
+            top = int(state.round_loads.sum(axis=0).max())
             masses[top] = masses.get(top, Fraction(0)) + weight
             return
         walk_round(1, weight)  # which recurses into the next ball on acceptance
@@ -92,15 +96,11 @@ def exact_distribution(n: int, d: int, m: int, strategy,
                 prior_psi = bool(state.psi_seen[b])
                 state.psi_seen[b] = True
             if accepted:
-                state.loads[b] += 1
-                state.round_loads[i - 1][b] += 1
-                state.rejection_counters[:i] += 1
+                state.round_loads[i - 1, b] += 1
                 state.t += 1
                 walk_ball(state.t, branch_weight)
                 state.t -= 1
-                state.rejection_counters[:i] -= 1
-                state.round_loads[i - 1][b] -= 1
-                state.loads[b] -= 1
+                state.round_loads[i - 1, b] -= 1
             else:
                 walk_round(i + 1, branch_weight)
             if i == 1:
@@ -161,7 +161,7 @@ def compare_empirical(dist: ExactDistribution, trials: int, seed: int = 0,
     At least ~1000 trials are needed for the z approximation to mean much.
     """
     if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
+        raise ConfigError(f"trials must be >= 1, got {trials}")
     strategy = dist.strategy
     if batched:
         counts = simulate_max_load_counts(dist.n, dist.d, dist.m, strategy, trials, seed)

@@ -1,7 +1,8 @@
 """Decision rules for the thinning engine.
 
 A strategy answers accept/reject for the round-i offer of the current ball,
-reading only the observable allocation state and (optionally) its own
+reading only the allocation state's `round_loads`, `psi_seen`, `t`, `n` and
+`d` (bin b's load is `round_loads[:, b].sum()`) and, optionally, its own
 auxiliary randomness stream.  Round d is always an accept and the engine
 never consults the strategy there.  Strategies are immutable after
 construction and safe to share across trials.
@@ -138,8 +139,7 @@ class BetaThinning(Strategy):
         over = np.flatnonzero((offered > k)[suggestions])
         if over.size:
             late = over[occurrence_rank(suggestions[over]) >= k]
-            bins, refused = np.unique(suggestions[late[u[late] < self.beta]], return_counts=True)
-            offered[bins] -= refused
+            np.subtract.at(offered, suggestions[late[u[late] < self.beta]], 1)
 
 
 def threshold_for(n: int, d: int) -> ThresholdStrategy:

@@ -83,8 +83,6 @@ def naive_greedy_run(n, d, m, seed):
                 best = min(offers, key=lambda b: (loads[b], b))
                 loads[best] += 1
     state.round_loads[0] = loads
-    state.loads = state.round_loads[0].copy()
-    state.rejection_counters[0] = m
     state.t = m
     return _result_from_state(state, f"greedy-{d}-choice", seed)
 

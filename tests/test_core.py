@@ -12,10 +12,10 @@ import pytest
 
 from thinlab import core
 from thinlab.core import (ConfigError, DecisionRecord, Pool, PoolExhausted,
-                          _result_from_state, greedy_int64s, make_pools, max_load,
-                          mix_seed, new_state, occurrence_rank, per_trial_max_load_counts,
-                          phi, psi, run_greedy_d_choice, run_trial,
-                          simulate_max_load_counts, step, trial_int64s)
+                          _result_from_state, greedy_int64s, make_pools, mix_seed,
+                          new_state, occurrence_rank, per_trial_max_load_counts,
+                          run_greedy_d_choice, run_trial, simulate_max_load_counts,
+                          step, trial_int64s)
 from thinlab.experiments import ExperimentConfig, run_experiment
 from thinlab.strategies import (AlwaysAccept, BetaThinning, ThresholdStrategy,
                                 make_strategy, threshold_for)
@@ -26,19 +26,29 @@ def cap0_threshold():
     return ThresholdStrategy(0.5)
 
 
+def loads_of(state):
+    """Each bin's load: its column sum of round_loads."""
+    return state.round_loads.sum(axis=0).tolist()
+
+
+def numbers_of(state):
+    """The TrialResult `_result_from_state` derives from a state."""
+    return _result_from_state(state, "state", 0)
+
+
 class TestNewState:
     def test_empty_state(self):
         state = new_state(3, 2)
         assert state.t == 0
-        assert state.loads.tolist() == [0, 0, 0]
+        assert loads_of(state) == [0, 0, 0]
         assert state.round_loads.shape == (2, 3)
-        assert state.rejection_counters.tolist() == [0, 0]
+        assert numbers_of(state).rejection_counters == (0, 0)
         assert not state.psi_seen.any()
         state.validate()
 
     def test_degenerate_single_bin(self):
         state = new_state(1, 1)
-        assert state.loads.tolist() == [0]
+        assert loads_of(state) == [0]
 
     def test_rejects_zero_sizes(self):
         with pytest.raises(ConfigError):
@@ -59,10 +69,10 @@ class TestStep:
         rec2 = step(state, strat, pools)
         assert rec2 == DecisionRecord(t=1, chosen=2, suggestions=(0, 0), final=0)
 
-        assert state.loads.tolist() == [2, 0]
-        assert state.rejection_counters.tolist() == [2, 1]
+        assert loads_of(state) == [2, 0]
+        assert numbers_of(state).rejection_counters == (2, 1)
         assert state.round_loads.tolist() == [[1, 0], [1, 0]]
-        assert psi(state) == 1
+        assert numbers_of(state).psi == 1
         state.validate()
 
     def test_single_bin_always_lands_zero(self):
@@ -76,7 +86,7 @@ class TestStep:
         pools = [Pool.replay([2, 2, 3])]
         recs = [step(state, cap0_threshold(), pools) for _ in range(3)]
         assert all(r.chosen == 1 for r in recs)
-        assert state.loads.tolist() == [0, 0, 2, 1]
+        assert loads_of(state) == [0, 0, 2, 1]
 
     def test_pool_exhaustion_propagates(self):
         state = new_state(2, 2)
@@ -89,28 +99,28 @@ class TestStep:
 class TestSubsetStats:
     def make_state(self, loads):
         state = new_state(len(loads), 1)
-        state.loads = np.asarray(loads, dtype=np.int64)
+        state.round_loads[0] = loads
         state.t = int(sum(loads))
         return state
 
     def test_max_load_whole_state(self):
-        assert max_load(self.make_state([3, 1, 2])) == 3
+        assert numbers_of(self.make_state([3, 1, 2])).max_load == 3
 
     def test_max_load_empty_process(self):
-        assert max_load(self.make_state([0, 0])) == 0
+        assert numbers_of(self.make_state([0, 0])).max_load == 0
 
     def test_max_load_singleton(self):
-        assert max_load(self.make_state([5])) == 5
+        assert numbers_of(self.make_state([5])).max_load == 5
 
     def test_phi_counts_nonempty(self):
-        assert phi(self.make_state([0, 2, 1])) == 2
+        assert numbers_of(self.make_state([0, 2, 1])).phi == 2
 
     def test_psi_counts_primary_offers(self):
         state = new_state(2, 2)
         pools = [Pool.replay([0, 0]), Pool.replay([0])]
         step(state, cap0_threshold(), pools)
         step(state, cap0_threshold(), pools)
-        assert psi(state) == 1
+        assert numbers_of(state).psi == 1
 
 
 class TestRunTrial:
@@ -192,18 +202,19 @@ class TestProcessInvariants:
     def test_state_invariants_after_run(self, strategy, n, d, m):
         state, records, pools = reference_step_run(n, d, m, strategy, seed=8)
         state.validate()
-        assert int(state.loads.sum()) == m
-        assert int(state.rejection_counters[0]) == m
+        assert int(state.round_loads.sum()) == m
+        counters = numbers_of(state).rejection_counters
+        assert counters[0] == m
         # per-ball rejection count = chosen-1 <= d-1
         assert all(1 <= r.chosen <= d for r in records)
         assert all(len(r.suggestions) == r.chosen for r in records)
         assert all(r.suggestions[-1] == r.final for r in records)
         # pool accounting: pool i consumed exactly r_i values
         for i in range(d):
-            assert pools[i].consumed == int(state.rejection_counters[i])
+            assert pools[i].consumed == counters[i]
         # r_i equals the number of balls with chosen >= i+1
         for i in range(d):
-            assert int(state.rejection_counters[i]) == sum(1 for r in records if r.chosen >= i + 1)
+            assert counters[i] == sum(1 for r in records if r.chosen >= i + 1)
 
     def test_always_accept_equals_one_choice_of_primary_pool(self):
         n, m, seed = 6, 40, 99
@@ -256,8 +267,9 @@ class TestInducedView:
 
     def test_view_lengths_match_rejection_counters(self):
         state, records, _ = reference_step_run(4, 3, 60, ThresholdStrategy(0.9), seed=21)
+        r = numbers_of(state).rejection_counters
         for j in range(1, 4):
-            assert len(induced_view(records, j)) == int(state.rejection_counters[j - 1])
+            assert len(induced_view(records, j)) == r[j - 1]
 
     def test_last_view_all_round_one(self):
         _, records, _ = reference_step_run(3, 3, 50, ThresholdStrategy(0.5), seed=4)

@@ -9,7 +9,7 @@ import pytest
 
 from thinlab.core import ConfigError, mix_seed, run_greedy_d_choice, run_trial
 from thinlab.experiments import (AggregateResult, ExperimentConfig,
-                                 balls_from_rho, csv_header, emit,
+                                 balls_from_rho, csv_header, emit, format_results,
                                  nearest_rank, run_experiment, sweep)
 from thinlab.strategies import AlwaysAccept
 from thinlab.theory import ell
@@ -96,6 +96,12 @@ class TestRunExperiment:
             run_experiment(self.config(trials=0))
         with pytest.raises(ConfigError, match="rho must be positive"):
             run_experiment(self.config(rho="-1"))
+        with pytest.raises(ConfigError, match="threads must be >= 1"):
+            run_experiment(self.config(threads=0))
+        with pytest.raises(ConfigError, match="unknown output format 'xml'"):
+            run_experiment(self.config(fmt="xml"))
+        with pytest.raises(ConfigError, match="needs a single n"):
+            run_experiment(self.config(n=None))
 
     def test_negative_bin_count(self):
         with pytest.raises(ConfigError, match="bin count"):
@@ -268,6 +274,10 @@ class TestEmit:
     def test_empty_results_rejected(self, tmp_path):
         with pytest.raises(ConfigError):
             emit([], "csv", tmp_path / "x.csv")
+
+    def test_unknown_format_rejected(self):
+        with pytest.raises(ConfigError, match="unknown output format 'xml'"):
+            format_results(self.agg(), "xml")
 
     def test_io_error_has_path_context(self, tmp_path):
         target = tmp_path / "missing-dir" / "x.csv"

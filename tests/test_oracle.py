@@ -72,6 +72,15 @@ class TestExactDistribution:
     def test_rejects_randomized_strategy(self):
         with pytest.raises(ConfigError):
             exact_distribution(2, 2, 2, BetaThinning(0.5, cap=0))
+        # a strategy that claims to be deterministic but draws is refused at its first draw
+        for draw in (lambda aux: aux.next(), lambda aux: aux.take(1)):
+            class ClaimsDeterministic(ThresholdStrategy):
+                def decide(self, i, bin_index, state, aux):
+                    draw(aux)
+                    return True
+
+            with pytest.raises(ConfigError, match="consulted randomness"):
+                exact_distribution(2, 2, 2, ClaimsDeterministic(0.5))
 
     def test_node_budget(self):
         with pytest.raises(OracleBudgetExceeded):
@@ -110,5 +119,5 @@ class TestCompareEmpirical:
 
     def test_zero_trials_rejected(self):
         dist = exact_distribution(2, 2, 2, ThresholdStrategy(0.5))
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             compare_empirical(dist, trials=0)

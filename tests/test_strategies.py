@@ -158,6 +158,8 @@ class TestBetaThinning:
             BetaThinning(1.0, cap=1)
         with pytest.raises(ConfigError):
             BetaThinning(-0.1, cap=1)
+        with pytest.raises(ConfigError, match="cap must be >= 0"):
+            BetaThinning(0.5, cap=-1)
 
     def test_beta_zero_is_one_choice(self):
         base = run_trial(7, 2, 120, AlwaysAccept(), seed=44)
@@ -185,14 +187,14 @@ class TestBetaThinning:
         strat = BetaThinning(0.5, cap=0)
         step(state, strat, pools, aux)
         step(state, strat, pools, aux)
-        assert state.loads.tolist() == [2, 0]
+        assert state.round_loads.sum(axis=0).tolist() == [2, 0]
 
         state = new_state(2, 2)
         pools = [Pool.replay([0, 0]), Pool.replay([1])]
         aux = Pool.replay([0.9, 0.1], float)  # second coin grants permission
         step(state, strat, pools, aux)
         step(state, strat, pools, aux)
-        assert state.loads.tolist() == [1, 1]
+        assert state.round_loads.sum(axis=0).tolist() == [1, 1]
 
 
 def exact_beta_thinning_max_dist(n, m, beta, cap):

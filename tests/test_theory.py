@@ -134,6 +134,8 @@ class TestEllRelation:
 class TestLemmaMaxBound:
     def test_deep_tail_value(self):
         assert lemma_max_bound(1.0, 1, 1000) == pytest.approx(MAXBOUND_1_1_1000, rel=1e-9)
+        # an exponent past 700 (ln 1e305 - 1 ~ 701) takes the early return of 0
+        assert lemma_max_bound(1.0, 1, 1e305) == 0.0
 
     def test_clamps_to_one(self):
         # raw value 2*exp(-1/(2e)) ~ 1.664
@@ -185,6 +187,12 @@ class TestLemmaNonemptyBound:
                 _, bound = lemma_nonempty_bound(theta, s)
                 assert 0.0 <= bound <= 1.0
 
+    def test_domain_errors(self):
+        with pytest.raises(ValueError, match="theta must be positive"):
+            lemma_nonempty_bound(0.0, 10)
+        with pytest.raises(ValueError, match="subset size"):
+            lemma_nonempty_bound(1.0, 0.5)
+
 
 class TestTailProbabilities:
     def test_upper(self):
@@ -225,6 +233,8 @@ class TestPoissonization:
     def test_rejects_zero_trials(self):
         with pytest.raises(ValueError):
             poissonization_bound_check(5, 1.0, lambda row: True, trials=0)
+        with pytest.raises(ValueError, match="n must be >= 1"):
+            poissonization_bound_check(0, 1.0, lambda row: True, trials=10)
 
 
 class TestLowerBoundSequences:
@@ -259,6 +269,12 @@ class TestLowerBoundSequences:
             lower_bound_sequences(10**6, 3, 1.0, 0.5, (0, 1))
         with pytest.raises(ValueError):
             lower_bound_sequences(10**6, 2, 1.0, 0.5, (1, 1))  # wrong length
+
+    def test_domain_errors(self):
+        with pytest.raises(ValueError, match="rho must be positive"):
+            lower_bound_sequences(10**6, 2, 0.0, 0.5, (1,))
+        with pytest.raises(ValueError, match=r"\(d-eps\)\*ell must be positive"):
+            lower_bound_sequences(10**6, 2, 1.0, 2.0, (1,))  # eps = d
 
     def test_d1_trivial_cascade(self):
         casc = lower_bound_sequences(10**6, 1, 2.0, 0.25, ())
