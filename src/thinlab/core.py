@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import ctypes
 import json
-import math
 import os
 import resource
 from collections import Counter
@@ -130,17 +129,13 @@ def trial_int64s(n: int, d: int, m: int) -> int:
 def greedy_int64s(n: int, d: int) -> int:
     """Estimated int64 values `run_greedy_d_choice` holds at its peak.
 
-    Per bin, the loads, ψ's one-byte flags and the int64 copy of the loads
-    that `_summary`'s `bincount` makes, within two rows: the loads are one
-    byte each, or int64 with no copy made once a load may pass 255.  Per
-    offer entry of one sub-block (at most d·2¹⁵ entries), twelve: the
-    offers, their slots, the slot table (up to eight entries per offer) and
-    its gather, with one to spare; the sorted shared entries and the parents
-    that come after them need less.  Plus at most one partly served
-    2¹⁶-value block in each of the d pools and one being drawn.  Nothing
-    grows with m or with d·n.
+    Per bin, the int64 loads and one byte of ψ's flags; `_summary`'s
+    `bincount` reads the int64 loads without a copy.  Per block, the d pool
+    takes of at most 2¹⁶ values (or the partly served blocks they are cut
+    from) and their stacked (d, k) copy, with one 2¹⁶-value block to spare
+    for the small objects a trial makes.  Nothing grows with m or with d·n.
     """
-    return 2 * n + 6 * d * _CHUNK + (d + 1) * _CHUNK
+    return n + (n + 7) // 8 + (2 * d + 1) * _CHUNK
 
 
 def require_memory(int64s: int, what: str) -> None:
@@ -447,89 +442,48 @@ def run_trial(n: int, d: int, m: int, strategy, seed: int) -> TrialResult:
                     strategy.name, seed)
 
 
-def _least_loaded(loads: np.ndarray, offers: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Each ball's least-loaded offer, the lowest bin on ties, and that bin's load.
+_GREEDY_SOURCE = os.path.join(os.path.dirname(__file__), "greedy.c")
 
-    offers[j] holds offer j of every ball; loads is only read.
+
+@cache
+def _greedy_kernel():
+    """greedy.c's `place_least_loaded`, built on first use.
+
+    The library is cached in the __pycache__ beside greedy.c, named by a hash
+    of the source, so an edited source is built afresh and an unchanged one
+    is only loaded.  It is compiled to a temporary name and moved into place
+    with os.replace, so threads or processes that build at once each load a
+    whole library.  ctypes releases the GIL while the kernel runs.
     """
-    best = offers[0]
-    held = loads[best]
-    for offer in offers[1:]:
-        load = loads[offer]
-        # loads are integers: load < held, or load == held and offer < best
-        better = load < held + (offer < best)
-        best = np.where(better, offer, best)
-        held = np.minimum(held, load)
-    return best, held
+    import hashlib
+    import subprocess
+    import threading
 
-
-def _parents(offers: np.ndarray) -> np.ndarray:
-    """parents[j, t]: the latest earlier ball offered ball t's j-th bin, else B.
-
-    offers has shape (d, B).  Only the offers whose bin shares a slot with
-    another offer's are sorted by (bin, ball); every other bin is offered
-    once.  A slot is the bin's low bits, enough of them to index a table of
-    4·d·B to 8·d·B entries, so bins below that size are their own slot.  A
-    ball offered one bin twice is not its own parent.
-    """
-    d, size = offers.shape
-    flat = offers.ravel()
-    slot = flat & ((1 << (4 * flat.size).bit_length()) - 1)
-    shared = np.flatnonzero(np.bincount(slot)[slot] > 1)
-    ball = shared % size
-    order = np.argsort(flat[shared] * size + ball)
-    entry = shared[order]
-    bins = flat[entry]
-    ball = ball[order]
-    link = np.flatnonzero((bins[1:] == bins[:-1]) & (ball[1:] != ball[:-1]))
-    parents = np.full(flat.size, size, dtype=np.int64)
-    parents[entry[link + 1]] = ball[link]
-    return parents.reshape(d, size)
-
-
-def _room(loads: np.ndarray, top: int) -> np.ndarray:
-    """`loads`, widened from uint8 to int64 once their max `top` leaves no room for one more ball."""
-    if top == 255 and loads.dtype == np.uint8:
-        return loads.astype(np.int64)
-    return loads
-
-
-def _place_least_loaded(loads: np.ndarray, offers: np.ndarray, top: int):
-    """Place one sub-block of balls, ball t offered offers[:, t], in ball order.
-
-    Each ball goes to its least-loaded offer, the lowest bin index on ties.
-    A ball's wave is 1 + the largest wave among its parents (`_parents`), 0
-    without one.  Balls of one wave share no bin, so one gather, compare and
-    scatter places a whole wave, and each bin still sees its balls in order.
-    `top` is the loads' max; a wave raises it by at most one, so uint8 loads
-    are widened (`_room`) before a wave that could pass 255.  Returns the
-    loads, widened or not, and their max.
-    """
-    size = offers.shape[1]
-    parents = _parents(offers)
-    # wave 0 reads the loads the sub-block starts from
-    loads = _room(loads, top)
-    best, held = _least_loaded(loads, offers)
-    waiting = parents.min(axis=0) < size
-    free = ~waiting
-    held = held[free] + 1
-    loads[best[free]] = held
-    top = max(top, int(held.max(initial=0)))
-    placed = np.append(free, True)  # entry `size` stands for "no parent"
-    pending = np.flatnonzero(waiting)
-    parents = parents[:, pending]
-    while pending.size:
-        ready = placed[parents].all(axis=0)
-        wave = pending[ready]
-        loads = _room(loads, top)
-        best, held = _least_loaded(loads, offers[:, wave])
-        held += 1
-        loads[best] = held
-        top = max(top, int(held.max()))
-        placed[wave] = True
-        pending = pending[~ready]
-        parents = parents[:, ~ready]
-    return loads, top
+    with open(_GREEDY_SOURCE, "rb") as f:
+        digest = hashlib.sha256(f.read()).hexdigest()[:16]
+    cache_dir = os.path.join(os.path.dirname(_GREEDY_SOURCE), "__pycache__")
+    library = os.path.join(cache_dir, f"greedy-{digest}.so")
+    if not os.path.exists(library):
+        os.makedirs(cache_dir, exist_ok=True)
+        built = f"{library}.{os.getpid()}-{threading.get_ident()}.tmp"
+        command = ["cc", "-O2", "-shared", "-fPIC", "-o", built, _GREEDY_SOURCE]
+        try:
+            subprocess.run(command, check=True, capture_output=True, text=True)
+            os.replace(built, library)
+        except FileNotFoundError:
+            raise RuntimeError(f"greedy d-choice builds its kernel with `{' '.join(command)}`, "
+                               f"but no C compiler `cc` is on PATH") from None
+        except subprocess.CalledProcessError as exc:
+            raise RuntimeError(f"`{' '.join(command)}` failed: {exc.stderr.strip()}") from None
+        finally:
+            if os.path.exists(built):
+                os.remove(built)
+    place = ctypes.CDLL(library).place_least_loaded
+    row = partial(np.ctypeslib.ndpointer, flags="C_CONTIGUOUS")
+    place.argtypes = [row(np.int64, 1), row(np.uint8, 1), row(np.int64, 2),
+                      ctypes.c_int64, ctypes.c_int64, ctypes.c_int64]
+    place.restype = ctypes.c_int64
+    return place
 
 
 def run_greedy_d_choice(n: int, d: int, m: int, seed: int) -> TrialResult:
@@ -540,29 +494,22 @@ def run_greedy_d_choice(n: int, d: int, m: int, seed: int) -> TrialResult:
     value t of each of the d round pools; it goes to its least-loaded offer,
     the lowest bin index on ties, and counts as accepted in round 1.
 
-    Balls are placed in sub-blocks of B = min(2¹⁵, 16·isqrt(n)), each in
-    dependency waves: ball t depends on the latest earlier ball of its
-    sub-block offered each of t's bins, and its wave is 1 + the largest wave
-    among those balls.  A wave's balls share no bin, so each bin still sees
-    its balls in ball order and each ball reads the loads the per-ball loop
-    would read, with the same lowest-index tie-break: the result is the
-    loop's, byte for byte.  With B near 16·√n a sub-block holds about
-    (d·B)²/2n = 128·d² pairs of offers of one bin at any n, so the waves
-    stay few.  Pool takes do not depend on how they are split, so B changes
-    no drawn value.  The loads are held in one byte each, so at n = 10⁶ the
-    row stays in cache, until a wave could raise one past 255; from then on
-    they are int64.
+    The balls are placed one at a time, in ball order, by the compiled loop
+    in greedy.c (`_greedy_kernel`), one pool block of up to 2¹⁶ balls per
+    call: each call stacks one take of every pool into a (d, k) array.
+    Pool takes do not depend on how they are split, so the block size
+    changes no drawn value.
     """
     check_sizes(n, d, m, seed)
     require_memory(greedy_int64s(n, d), f"a greedy trial with n={n}, d={d}, m={m}")
-    loads, top = np.zeros(n, dtype=np.uint8), 0
-    seen = np.zeros(n, dtype=bool)
+    place = _greedy_kernel()
+    loads = np.zeros(n, dtype=np.int64)
+    seen = np.zeros(n, dtype=np.uint8)
+    top = 0
     pools, _ = make_pools(n, d, seed)
-    block = min(_CHUNK // 2, 16 * math.isqrt(n))
-    for start in range(0, m, block):
-        offers = np.stack([pool.take(min(block, m - start)) for pool in pools])
-        seen[offers[0]] = True
-        loads, top = _place_least_loaded(loads, offers, top)
+    for start in range(0, m, _CHUNK):
+        k = min(_CHUNK, m - start)
+        top = place(loads, seen, np.stack([pool.take(k) for pool in pools]), d, k, top)
     rest = [0] * (d - 1)
     return _summary(loads, np.count_nonzero(seen), [m] + rest, [top] + rest,
                     f"greedy-{d}-choice", seed)

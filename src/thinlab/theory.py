@@ -12,6 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .core import ConfigError
+
 _E = math.e
 _EXP_OVERFLOW = 700.0
 
@@ -19,9 +21,9 @@ _EXP_OVERFLOW = 700.0
 def ell(n: float, d: int) -> float:
     """Optimal threshold (d*ln n / ln ln n)**(1/d); defined for n >= 3."""
     if d < 1:
-        raise ValueError(f"thinning depth must be >= 1, got {d}")
+        raise ConfigError(f"thinning depth must be >= 1, got {d}")
     if n < 3:
-        raise ValueError(f"ell needs n >= 3 (ln ln n must be positive), got n={n}")
+        raise ConfigError(f"ell needs n >= 3 (ln ln n must be positive), got n={n}")
     return (d * math.log(n) / math.log(math.log(n))) ** (1.0 / d)
 
 
@@ -33,7 +35,7 @@ def predicted_max(n: float, d: int) -> float:
 def predicted_bounds(n: float, d: int, eps: float) -> tuple[float, float]:
     """(upper, lower) = ((d+eps)*ell, (d-eps)*ell), bracketing d*ell."""
     if eps < 0:
-        raise ValueError(f"eps must be >= 0, got {eps}")
+        raise ConfigError(f"eps must be >= 0, got {eps}")
     l = ell(n, d)
     return (d + eps) * l, (d - eps) * l
 
@@ -59,7 +61,7 @@ class BetaSequence:
 
 def beta_sequence(n: float, d: int, rho: float) -> BetaSequence:
     if rho <= 0:
-        raise ValueError(f"rho must be positive, got {rho}")
+        raise ConfigError(f"rho must be positive, got {rho}")
     l = ell(n, d)
     fact = real_factorial(l)
     values = [rho * n]
@@ -80,7 +82,7 @@ def ell_relation(n: float, d: int) -> tuple[float, float]:
     the two sides must agree to ~1e-10 relative in double precision.
     """
     if n < 16:
-        raise ValueError(f"ell_relation needs n >= 16, got n={n}")
+        raise ConfigError(f"ell_relation needs n >= 16, got n={n}")
     l = ell(n, d)
     lhs = l ** d * math.log(l)
     loglog = math.log(math.log(n))
@@ -96,11 +98,11 @@ def lemma_max_bound(theta: float, k: int, s_size: float) -> float:
     k degrades to the vacuous 1 rather than overflowing.
     """
     if theta <= 0:
-        raise ValueError(f"theta must be positive, got {theta}")
+        raise ConfigError(f"theta must be positive, got {theta}")
     if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
+        raise ConfigError(f"k must be >= 1, got {k}")
     if s_size < 1:
-        raise ValueError(f"subset size must be >= 1, got {s_size}")
+        raise ConfigError(f"subset size must be >= 1, got {s_size}")
     log_term = k * math.log(theta) + math.log(s_size) - 1.0 - math.lgamma(k + 1.0)
     if log_term > _EXP_OVERFLOW:
         return 0.0
@@ -115,9 +117,9 @@ def lemma_nonempty_bound(theta: float, s_size: float) -> tuple[float, float]:
     min(1, 2*exp(-theta**2 * |S| / (2e**2))).
     """
     if theta <= 0:
-        raise ValueError(f"theta must be positive, got {theta}")
+        raise ConfigError(f"theta must be positive, got {theta}")
     if s_size < 1:
-        raise ValueError(f"subset size must be >= 1, got {s_size}")
+        raise ConfigError(f"subset size must be >= 1, got {s_size}")
     threshold = theta * s_size / (2.0 * _E)
     exponent = theta * theta * s_size / (2.0 * _E * _E)
     bound = 0.0 if exponent > _EXP_OVERFLOW else min(1.0, 2.0 * math.exp(-exponent))
@@ -177,9 +179,9 @@ def poissonization_bound_check(n: int, theta: float, event, trials: int,
     twice the Poisson estimate plus three combined standard errors.
     """
     if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
+        raise ConfigError(f"trials must be >= 1, got {trials}")
     if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+        raise ConfigError(f"n must be >= 1, got {n}")
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, 0x706F6973))))
     m = math.floor(theta * n)
 
@@ -247,13 +249,13 @@ def lower_bound_sequences(n: float, d: int, rho: float, eps: float,
     inadmissible.
     """
     if len(k) != d - 1:
-        raise ValueError(f"k must have length d-1 = {d - 1}, got {len(k)}")
+        raise ConfigError(f"k must have length d-1 = {d - 1}, got {len(k)}")
     if rho <= 0:
-        raise ValueError(f"rho must be positive, got {rho}")
+        raise ConfigError(f"rho must be positive, got {rho}")
     l = ell(n, d)
     s0 = (d - eps) * l
     if s0 <= 0:
-        raise ValueError(f"(d-eps)*ell must be positive, got {s0}")
+        raise ConfigError(f"(d-eps)*ell must be positive, got {s0}")
 
     ks = (1,) + tuple(int(v) for v in k)
     s_vals: list[float] = []
@@ -267,7 +269,7 @@ def lower_bound_sequences(n: float, d: int, rho: float, eps: float,
     for i in range(1, d + 1):
         s_i = s_prev - (ks[i - 1] - 1)
         if s_i <= 0:
-            raise ValueError(
+            raise ConfigError(
                 f"stage {i} target s_{i} = {s_i} is not positive; "
                 f"k-vector {tuple(k)} is inadmissible")
         w_i = (gamma_balls if i == 1 else gamma_prev) / s_i
@@ -278,7 +280,7 @@ def lower_bound_sequences(n: float, d: int, rho: float, eps: float,
         if i <= d - 1:
             k_i = ks[i]
             if not 1 <= k_i <= math.ceil(s_i):
-                raise ValueError(
+                raise ConfigError(
                     f"k_{i} = {k_i} outside [1, ceil(s_{i})] = [1, {math.ceil(s_i)}]")
             base = n if i == 1 else gamma_prev
             gamma_prev = base * (theta_i / (4.0 * _E)) ** k_i

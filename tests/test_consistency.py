@@ -186,7 +186,7 @@ class TestNaiveAgreement:
 
 
 class TestGreedyAgreement:
-    """The wave kernel places every ball where the per-ball loop does."""
+    """The compiled loop places every ball where the per-ball Python loop does."""
 
     @staticmethod
     def check(n, d, m, seed):
@@ -197,8 +197,8 @@ class TestGreedyAgreement:
     @pytest.mark.parametrize("d", [1, 2, 3, 4])
     @pytest.mark.parametrize("n", [1, 2, 3, 7, 10])
     def test_dense(self, n, d):
-        # few bins: waves are deep, nearly every ball repeats an offer of an
-        # earlier one (or its own), and load ties are common
+        # few bins: nearly every ball repeats an offer of an earlier one (or
+        # its own), and load ties are common
         for m in (0, 1, 37, 1000):
             self.check(n, d, m, seed=100 * n + 10 * d + m % 7)
 
@@ -208,12 +208,11 @@ class TestGreedyAgreement:
 
     @pytest.mark.parametrize("d", [2, 3])
     def test_loads_past_one_byte(self, d):
-        # 300 balls a bin in 160-ball sub-blocks of many balls per wave: the
-        # one-byte loads are widened partway through the trial
+        # 300 balls a bin: loads pass what one byte holds
         assert self.check(100, d, 3 * 10**4, seed=73 + d).max_load > 255
 
     def test_sparse(self):
-        # many bins: few offers of a 5,056-ball sub-block share a bin
+        # many bins and several 2**16-ball blocks, the last one partial
         self.check(10**5, 2, 10**6, seed=72)
 
 

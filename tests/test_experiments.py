@@ -2,11 +2,20 @@
 
 import json
 import math
+import os
+import re
+import shutil
+import subprocess
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from thinlab import core
 from thinlab.core import ConfigError, mix_seed, run_greedy_d_choice, run_trial
 from thinlab.experiments import (AggregateResult, ExperimentConfig,
                                  balls_from_rho, csv_header, emit, format_results,
@@ -197,6 +206,58 @@ class TestGreedyDChoice:
         for j in range(2):
             res = run_greedy_d_choice(10**6, 2, 10**6, seed=mix_seed(3, j))
             assert 2 <= res.max_load <= 6
+
+    @pytest.fixture
+    def empty_cache(self, tmp_path, monkeypatch):
+        """greedy.c copied into tmp_path, so its kernel is built into an empty __pycache__."""
+        source = tmp_path / "greedy.c"
+        shutil.copy(core._GREEDY_SOURCE, source)
+        monkeypatch.setattr(core, "_GREEDY_SOURCE", str(source))
+        core._greedy_kernel.cache_clear()
+        yield tmp_path / "__pycache__"
+        core._greedy_kernel.cache_clear()
+
+    def test_no_compiler(self, empty_cache, tmp_path, monkeypatch):
+        monkeypatch.setenv("PATH", str(tmp_path))  # a directory with no cc in it
+        with pytest.raises(RuntimeError, match=r"`cc -O2 -shared -fPIC -o \S+ \S+greedy\.c`, "
+                                               r"but no C compiler `cc` is on PATH"):
+            run_greedy_d_choice(10, 2, 10, 1)
+        assert not list(empty_cache.iterdir())
+
+    def test_cached_library_runs_no_compiler(self, tmp_path):
+        package = tmp_path / "thinlab"
+        shutil.copytree(Path(core.__file__).parent, package,
+                        ignore=shutil.ignore_patterns("__pycache__"))
+        script = ("from thinlab import run_greedy_d_choice; "
+                  "print(run_greedy_d_choice(10, 2, 100, 1).to_json())")
+
+        def fresh_process(path):
+            env = {**os.environ, "PYTHONPATH": str(tmp_path), "PATH": path}
+            return subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                                  capture_output=True, text=True, timeout=120).stdout
+
+        built = fresh_process(os.environ["PATH"])
+        library, = (package / "__pycache__").glob("greedy-*.so")
+        stamp = library.stat().st_mtime_ns
+        # with no cc on PATH, only loading the cached library can succeed
+        assert fresh_process(str(tmp_path)) == built
+        assert built == run_greedy_d_choice(10, 2, 100, 1).to_json() + "\n"
+        assert library.stat().st_mtime_ns == stamp
+
+    def test_threads_from_empty_cache(self, empty_cache):
+        # four first calls start together, so each builds the kernel and moves it into place
+        start = threading.Barrier(4)
+
+        def trial(seed):
+            start.wait(timeout=60)
+            return run_greedy_d_choice(1000, 2, 10**5, seed).to_json()
+
+        with ThreadPoolExecutor(4) as pool:
+            threaded = list(pool.map(trial, range(8), timeout=120))
+        assert threaded == [run_greedy_d_choice(1000, 2, 10**5, s).to_json() for s in range(8)]
+        # one library, and no temporary left behind
+        library, = empty_cache.iterdir()
+        assert re.fullmatch(r"greedy-[0-9a-f]{16}\.so", library.name)
 
 
 class TestOneChoiceSanity:

@@ -9,6 +9,7 @@ import math
 import numpy as np
 import pytest
 
+from thinlab.core import ConfigError
 from thinlab.theory import (beta_sequence, ell, ell_relation, lemma_max_bound,
                             lemma_nonempty_bound, lower_bound_sequences,
                             lower_tail_probability, poissonization_bound_check,
@@ -44,11 +45,11 @@ class TestEll:
         assert ell(n, 1) == pytest.approx(math.e, rel=1e-12)
 
     def test_domain_errors(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             ell(2, 2)
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             ell(1, 1)
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             ell(10**6, 0)
 
     def test_monotone_in_n(self):
@@ -78,7 +79,7 @@ class TestPredictedBounds:
         assert upper == lower == pytest.approx(2 * ELL_1E6_D2, rel=1e-12)
 
     def test_negative_eps_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             predicted_bounds(10**6, 2, -0.1)
 
 
@@ -110,7 +111,7 @@ class TestBetaSequence:
         assert all(a > b for a, b in zip(seq, seq[1:]))
 
     def test_rejects_bad_rho(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             beta_sequence(10**6, 2, 0.0)
 
 
@@ -127,7 +128,7 @@ class TestEllRelation:
         assert lhs == pytest.approx(rhs, rel=1e-10)
 
     def test_domain_error_below_16(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             ell_relation(15, 2)
 
 
@@ -158,11 +159,11 @@ class TestLemmaMaxBound:
             assert all(0.0 <= v <= 1.0 for v in vals)
 
     def test_domain_errors(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             lemma_max_bound(0.0, 1, 10)
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             lemma_max_bound(1.0, 0, 10)
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             lemma_max_bound(1.0, 1, 0)
 
 
@@ -188,9 +189,9 @@ class TestLemmaNonemptyBound:
                 assert 0.0 <= bound <= 1.0
 
     def test_domain_errors(self):
-        with pytest.raises(ValueError, match="theta must be positive"):
+        with pytest.raises(ConfigError, match="theta must be positive"):
             lemma_nonempty_bound(0.0, 10)
-        with pytest.raises(ValueError, match="subset size"):
+        with pytest.raises(ConfigError, match="subset size"):
             lemma_nonempty_bound(1.0, 0.5)
 
 
@@ -231,9 +232,9 @@ class TestPoissonization:
         assert report.passed
 
     def test_rejects_zero_trials(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             poissonization_bound_check(5, 1.0, lambda row: True, trials=0)
-        with pytest.raises(ValueError, match="n must be >= 1"):
+        with pytest.raises(ConfigError, match="n must be >= 1"):
             poissonization_bound_check(0, 1.0, lambda row: True, trials=10)
 
 
@@ -261,19 +262,19 @@ class TestLowerBoundSequences:
         n, d, eps = 10**6, 3, 0.5
         total = (d - eps) * ell(n, d)
         k1 = math.ceil(total) + 1
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             lower_bound_sequences(n, d, 1.0, eps, (k1, 1))
 
     def test_k_range_enforced(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             lower_bound_sequences(10**6, 3, 1.0, 0.5, (0, 1))
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             lower_bound_sequences(10**6, 2, 1.0, 0.5, (1, 1))  # wrong length
 
     def test_domain_errors(self):
-        with pytest.raises(ValueError, match="rho must be positive"):
+        with pytest.raises(ConfigError, match="rho must be positive"):
             lower_bound_sequences(10**6, 2, 0.0, 0.5, (1,))
-        with pytest.raises(ValueError, match=r"\(d-eps\)\*ell must be positive"):
+        with pytest.raises(ConfigError, match=r"\(d-eps\)\*ell must be positive"):
             lower_bound_sequences(10**6, 2, 1.0, 2.0, (1,))  # eps = d
 
     def test_d1_trivial_cascade(self):
