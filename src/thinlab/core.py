@@ -5,12 +5,13 @@ reject the first d-1 offers; the d-th offer is always placed.  The engine
 reports, per round i, how many balls reached that round (the rejection
 counters r_i) and the round's largest accepted count per bin, and how many
 bins were ever offered as a primary suggestion.  The per-ball `step` path
-keeps every round's accepted loads, which `decide` reads.  The whole-round
-path keeps one round's at a time, for a single trial and for a batch of
-trials alike: each round's offered counts are rewritten in place into its
-accepted counts, round 1's become the loads, and a later round that offers
-few balls works on its offered bins alone, in time and extra memory that
-grow with its offers, not with n.
+keeps every round's accepted loads, which `decide` reads.  A strategy that
+states its rule as data (`RoundRule`) runs every round through one compiled
+per-ball loop (greedy.c), for a single trial and for a batch of trials
+alike: each round is streamed from its pool in 2¹⁶-value blocks into a
+one-byte round row and one-byte loads, so a trial holds two bytes per bin.
+An object with no rule, such as a mask-only proxy, runs the whole-round
+mask path instead.
 
 Bins are indexed 0..n-1 and ball indices are 0-based throughout.
 
@@ -30,6 +31,7 @@ import ctypes
 import json
 import os
 import resource
+import zlib
 from collections import Counter
 from dataclasses import dataclass
 from functools import cache, partial
@@ -104,25 +106,19 @@ def _pin_malloc_thresholds() -> None:
 _pin_malloc_thresholds()
 
 
-def trial_int64s(n: int, d: int, m: int) -> int:
-    """Estimated int64 values one trial holds at its peak.
+def trial_int64s(n: int, d: int, m: int, strategy) -> int:
+    """Estimated int64 values a trial of `strategy` holds at its peak; a batch's keys are bins.
 
-    Per bin, three rows: the loads, the round's offered counts and, under the
-    mask kernel, its accepted counts.  Nothing per bin grows with d, and a
-    batch's trials·n keys count as bins.  At most nine m-length arrays while
-    the mask kernel ranks a round's balls: the take, the coins, and
-    `occurrence_rank`'s order, sorted copy, two rank arrays and its group
-    starts and lengths (one pair per distinct bin), with one to spare.  And
-    at most one partly served 2¹⁶-value block in each of the d+1 pools.
-
-    The counts kernels hold less, in single and batched trials alike: each
-    round's offered counts are rewritten into its accepted counts, and round
-    1's become the loads, so one row is held, and a second only while a
-    later round that offers many balls is counted.  Besides the take, the
-    next round's and its trial starts, beta-thinning's round 1 holds one
-    coin per ball and ranks only the balls of bins offered more than cap+1
-    times.
+    With a round `rule` (`_run_rule`): two bytes per bin (the round row and
+    the loads, until a bin holds 255 balls and they widen), one partly
+    served 2¹⁶-value block in each of the d+1 pools and 2¹³ values to spare,
+    with nothing in m.  Without one (the mask kernel): three rows per bin,
+    at most nine m-length arrays while a round's balls are ranked (the take,
+    the coins, `occurrence_rank`'s order, sorted copy, two rank arrays, group
+    starts and lengths, and one to spare) and the d+1 pool blocks.
     """
+    if getattr(strategy, "rule", None) is not None:
+        return (2 * n + 7) // 8 + (d + 1) * _CHUNK + _CHUNK // 8
     return 3 * n + 9 * m + (d + 1) * _CHUNK
 
 
@@ -132,10 +128,10 @@ def greedy_int64s(n: int, d: int) -> int:
     Per bin, the int64 loads and one byte of ψ's flags; `_summary`'s
     `bincount` reads the int64 loads without a copy.  Per block, the d pool
     takes of at most 2¹⁶ values (or the partly served blocks they are cut
-    from) and their stacked (d, k) copy, with one 2¹⁶-value block to spare
+    from), which the loop reads in place, with one 2¹⁶-value block to spare
     for the small objects a trial makes.  Nothing grows with m or with d·n.
     """
-    return n + (n + 7) // 8 + (2 * d + 1) * _CHUNK
+    return n + (n + 7) // 8 + (d + 1) * _CHUNK
 
 
 def require_memory(int64s: int, what: str) -> None:
@@ -327,10 +323,16 @@ def _summary(loads: np.ndarray, psi_count: int, rejection_counters, round_load_m
     """The TrialResult of a finished trial: its loads, ψ, r_1..r_d and per-round maxima.
 
     The load histogram also gives the max load (its last value) and φ (the
-    bins not at load 0), so the loads are read once.
+    bins not at load 0).  It is counted over 2¹⁶ bins at a time, since
+    `bincount` widens what it counts to int64.
     """
     r = tuple(int(v) for v in rejection_counters)
-    counts = np.bincount(loads).tolist()
+    counts = np.bincount(loads[:_CHUNK])
+    for start in range(_CHUNK, loads.size, _CHUNK):
+        more = np.bincount(loads[start:start + _CHUNK], minlength=counts.size)
+        more[:counts.size] += counts
+        counts = more
+    counts = counts.tolist()
     return TrialResult(
         n=loads.size,
         d=len(r),
@@ -359,131 +361,152 @@ def _result_from_state(state: AllocationState, name: str, seed: int) -> TrialRes
                     rounds.max(axis=1), name, seed)
 
 
-def _sparse_round(offers: int, bins: int) -> bool:
-    """Whether a later round of `offers` balls runs on its offered keys alone.
+def _run_vectorized(strategy, trials: int, n: int, d: int, m: int, pools, aux):
+    """`_run_rule`'s results in numpy, for an object with no round `rule` (the mask path).
 
-    A sparse round sorts its offers (`np.unique`); a dense one makes a few
-    passes over every bin.  Measured on numpy 2.4, the sparse round wins
-    when 8·offers < bins at 8·10⁴ and 10⁶ bins, and a sparse round's fixed
-    cost is about a dense round's over 8·2¹⁰ bins; README "Round kernels".
+    Each round takes its offers at once, as keys trial·n + bin in (trial,
+    ball) order, and counts per key the balls the strategy's sequential
+    `accept_mask` accepts (every ball in round d).  Round 1's accepted
+    counts become the loads and each later round's are added into them;
+    each round's largest accepted count is kept, 0 for a round with no
+    offers.  Only each trial's rejected count, `waiting`, carries over.
     """
-    return 8 * (offers + 1024) < bins
-
-
-def _run_vectorized(current: np.ndarray, trials: int, n: int, d: int, strategy, pools, aux):
-    """Whole-round path for trials of n bins each; byte-identical to the step loop.
-
-    `current` holds round 1's keys trial·n + bin, trial after trial, each
-    trial's balls in ball order; every trial has the same number of balls,
-    current.size // trials.  A single trial is a batch of one.  Each round
-    counts its offers per key once: round 1, and a later round that offers
-    many balls, with `bincount` over every key; a later round that offers
-    few (`_sparse_round`) with `np.unique` over its offered keys alone, so
-    round 1's counts always cover every key.  A strategy with
-    `accept_counts` turns those counts into the round's accepted counts in
-    place, given the round's keys and the aux stream as well; for any other
-    strategy (a mask-only proxy) its sequential `accept_mask` picks the
-    accepted balls, which are counted per key.
-    Round 1's accepted counts become the loads and each later round's are
-    added into them, so no (d, trials·n) array is made; each round's largest
-    accepted count is kept, 0 for a round with no offers.  Round i+1 draws
-    in (trial, ball) order, so only each trial's rejected count matters:
-    `waiting` holds it, and the fresh bins are offered at their trial's first
-    key.  Returns the loads, ψ (keys offered in round 1), r_1..r_d and each
-    round's largest accepted count.
-    """
-    accept_counts = getattr(strategy, "accept_counts", None)
-    bins = trials * n
-    waiting = np.full(trials, current.size // trials)
-    rejection_counters = []
-    round_load_max = []
+    keys = trials * n
+    waiting = np.full(trials, m)
+    rejection_counters, round_load_max = [], []
     for i in range(1, d + 1):
+        current = pools[i - 1].take(int(waiting.sum()))
+        current += np.arange(0, keys, n).repeat(waiting)
         rejection_counters.append(current.size)
-        if i == 1 or not _sparse_round(current.size, bins):
-            keys = None
-            offered = np.bincount(current, minlength=bins)
-        else:
-            keys, offered = np.unique(current, return_counts=True)
         if i == 1:
-            psi_count = np.count_nonzero(offered)
-        accepted = offered
-        if i < d and accept_counts is not None:
-            accept_counts(i, accepted, current, aux)
-        elif i < d:
-            taken = current[strategy.accept_mask(i, current, aux)]
-            if keys is None:
-                accepted = np.bincount(taken, minlength=bins)
-            else:
-                accepted = np.bincount(np.searchsorted(keys, taken), minlength=keys.size)
-        if i == 1:
-            loads = accepted
-        elif keys is None:
-            loads += accepted
-        else:
-            loads[keys] += accepted
-        round_load_max.append(accepted.max(initial=0))
+            psi_count = np.count_nonzero(np.bincount(current, minlength=keys))
         if i < d:
-            if keys is None:
-                waiting -= np.einsum("tb->t", accepted.reshape(trials, n))
-            else:
-                # float64 weights, exact below 2⁵³ balls
-                waiting -= np.bincount(keys // n, accepted, trials).astype(np.int64)
-            current = pools[i].take(int(waiting.sum()))
-            current += np.arange(0, bins, n).repeat(waiting)
+            current = current[strategy.accept_mask(i, current, aux)]
+        accepted = np.bincount(current, minlength=keys)
+        loads = accepted if i == 1 else loads + accepted
+        round_load_max.append(accepted.max(initial=0))
+        waiting -= accepted.reshape(trials, n).sum(axis=1)
     return loads, psi_count, rejection_counters, round_load_max
+
+
+@dataclass(frozen=True)
+class RoundRule:
+    """A strategy's round rule, as plain data for the compiled loop.
+
+    In rounds 1..rounds before the last (every round before the last if
+    rounds is None), a ball is accepted if its bin's count in the round so
+    far is at most cap (at least 0), or if its coin, one aux value per ball
+    in ball order, is at least beta.  cap None accepts every ball and beta
+    None takes no coin.  Other rounds accept every ball.
+    """
+
+    cap: int | None = None
+    beta: float | None = None
+    rounds: int | None = None
+
+
+def _run_rule(strategy, trials: int, n: int, d: int, m: int, pools, aux):
+    """The loads, ψ, r_1..r_d and each round's largest accepted count of trials of n bins.
+
+    Trial t's bin b is key t·n + b.  Each round streams its offers from its
+    pool in 2¹⁶-value blocks, in (trial, ball) order, through greedy.c's
+    per-ball loop, which counts each accepted ball in a one-byte round row
+    and in one-byte loads per key; both widen to int64, once, before a load
+    could pass 255.  ψ is the round-1 row's nonzero count: a bin's first
+    round-1 offer is always accepted.
+    """
+    rule, lib = strategy.rule, _kernels()
+    thin = lib.thin_narrow
+    row, loads = np.zeros(trials * n, np.uint8), np.zeros(trials * n, np.uint8)
+    tally = np.zeros(2 + 2 * trials, np.int64)  # greedy.c's position and per-trial counts
+    at, waiting, rejected = tally[:2], tally[2:2 + trials], tally[2 + trials:]
+    at[0], waiting[:] = -1, m
+    addresses = row.ctypes.data, loads.ctypes.data, tally.ctypes.data  # each takes µs to look up
+    rejection_counters, round_load_max = [], []
+    for i in range(1, d + 1):
+        binds = i < d and i <= (rule.rounds or d)
+        cap = min(rule.cap, 2**63 - 1) if binds and rule.cap is not None else 2**63 - 1
+        beta = rule.beta if binds else None
+        rejection_counters.append(int(waiting.sum()))
+        for start in range(0, rejection_counters[-1], _CHUNK):
+            bins = pools[i - 1].take(min(_CHUNK, rejection_counters[-1] - start))
+            coins = None if beta is None else aux.take(bins.size)
+            placed = 0
+            while True:
+                placed += thin(*addresses[:2], bins.ctypes.data + 8 * placed,
+                               None if beta is None else coins.ctypes.data + 8 * placed,
+                               bins.size - placed, n, trials, addresses[2], cap, beta or 0.0)
+                if placed == bins.size:
+                    break
+                row, loads, thin = row.astype(np.int64), loads.astype(np.int64), lib.thin_wide
+                addresses = row.ctypes.data, loads.ctypes.data, tally.ctypes.data
+            del bins, coins  # so that no block is held while the next one is drawn
+        if i == 1:
+            psi_count = np.count_nonzero(row)
+        round_load_max.append(row.max())
+        if i < d:
+            row[:], at[:], waiting[:], rejected[:] = 0, (-1, 0), rejected, 0
+    return loads, psi_count, rejection_counters, round_load_max
+
+
+def _run(strategy, trials: int, n: int, d: int, m: int, pools, aux):
+    """`_run_rule` for a strategy with a round `rule`, else `_run_vectorized`."""
+    run = _run_vectorized if getattr(strategy, "rule", None) is None else _run_rule
+    return run(strategy, trials, n, d, m, pools, aux)
 
 
 def run_trial(n: int, d: int, m: int, strategy, seed: int) -> TrialResult:
     """Run one complete trial of m balls; deterministic in (inputs, seed)."""
     check_sizes(n, d, m, seed)
-    require_memory(trial_int64s(n, d, m), f"a trial with n={n}, d={d}, m={m}")
-    pools, aux = make_pools(n, d, seed)
-    return _summary(*_run_vectorized(pools[0].take(m), 1, n, d, strategy, pools, aux),
-                    strategy.name, seed)
+    require_memory(trial_int64s(n, d, m, strategy), f"a trial with n={n}, d={d}, m={m}")
+    # the pools are freed before the summary counts the loads
+    return _summary(*_run(strategy, 1, n, d, m, *make_pools(n, d, seed)), strategy.name, seed)
 
 
-_GREEDY_SOURCE = os.path.join(os.path.dirname(__file__), "greedy.c")
+_KERNEL_SOURCE = os.path.join(os.path.dirname(__file__), "greedy.c")
 
 
 @cache
-def _greedy_kernel():
-    """greedy.c's `place_least_loaded`, built on first use.
+def _kernels() -> ctypes.CDLL:
+    """greedy.c's per-ball loops, built on first use; arrays are passed by address.
 
-    The library is cached in the __pycache__ beside greedy.c, named by a hash
-    of the source, so an edited source is built afresh and an unchanged one
-    is only loaded.  It is compiled to a temporary name and moved into place
-    with os.replace, so threads or processes that build at once each load a
-    whole library.  ctypes releases the GIL while the kernel runs.
+    The library is cached in the __pycache__ beside greedy.c, named by the
+    source's crc32, so an edited source is built afresh and an unchanged one
+    is only loaded, with no compiler run and no module imported.  It is
+    compiled to a temporary name and moved into place with os.replace, so
+    threads or processes that build at once each load a whole library.
+    ctypes releases the GIL while a loop runs.
     """
-    import hashlib
-    import subprocess
-    import threading
-
-    with open(_GREEDY_SOURCE, "rb") as f:
-        digest = hashlib.sha256(f.read()).hexdigest()[:16]
-    cache_dir = os.path.join(os.path.dirname(_GREEDY_SOURCE), "__pycache__")
-    library = os.path.join(cache_dir, f"greedy-{digest}.so")
+    with open(_KERNEL_SOURCE, "rb") as f:
+        checksum = zlib.crc32(f.read())
+    cache_dir = os.path.join(os.path.dirname(_KERNEL_SOURCE), "__pycache__")
+    library = os.path.join(cache_dir, f"greedy-{checksum:08x}.so")
     if not os.path.exists(library):
+        import subprocess
+        import threading
+
         os.makedirs(cache_dir, exist_ok=True)
         built = f"{library}.{os.getpid()}-{threading.get_ident()}.tmp"
-        command = ["cc", "-O2", "-shared", "-fPIC", "-o", built, _GREEDY_SOURCE]
+        command = ["cc", "-O2", "-shared", "-fPIC", "-o", built, _KERNEL_SOURCE]
         try:
             subprocess.run(command, check=True, capture_output=True, text=True)
             os.replace(built, library)
         except FileNotFoundError:
-            raise RuntimeError(f"greedy d-choice builds its kernel with `{' '.join(command)}`, "
+            raise RuntimeError(f"thinlab builds its kernels with `{' '.join(command)}`, "
                                f"but no C compiler `cc` is on PATH") from None
         except subprocess.CalledProcessError as exc:
             raise RuntimeError(f"`{' '.join(command)}` failed: {exc.stderr.strip()}") from None
         finally:
             if os.path.exists(built):
                 os.remove(built)
-    place = ctypes.CDLL(library).place_least_loaded
-    row = partial(np.ctypeslib.ndpointer, flags="C_CONTIGUOUS")
-    place.argtypes = [row(np.int64, 1), row(np.uint8, 1), row(np.int64, 2),
-                      ctypes.c_int64, ctypes.c_int64, ctypes.c_int64]
-    place.restype = ctypes.c_int64
-    return place
+    lib = ctypes.CDLL(library)
+    address, i64 = ctypes.c_void_p, ctypes.c_int64
+    lib.place_least_loaded.argtypes = [address] * 3 + [i64] * 3
+    for thin in (lib.thin_narrow, lib.thin_wide):
+        thin.argtypes = [address] * 4 + [i64] * 3 + [address, i64, ctypes.c_double]
+    for kernel in (lib.place_least_loaded, lib.thin_narrow, lib.thin_wide):
+        kernel.restype = i64
+    return lib
 
 
 def run_greedy_d_choice(n: int, d: int, m: int, seed: int) -> TrialResult:
@@ -494,22 +517,24 @@ def run_greedy_d_choice(n: int, d: int, m: int, seed: int) -> TrialResult:
     value t of each of the d round pools; it goes to its least-loaded offer,
     the lowest bin index on ties, and counts as accepted in round 1.
 
-    The balls are placed one at a time, in ball order, by the compiled loop
-    in greedy.c (`_greedy_kernel`), one pool block of up to 2¹⁶ balls per
-    call: each call stacks one take of every pool into a (d, k) array.
-    Pool takes do not depend on how they are split, so the block size
-    changes no drawn value.
+    The balls are placed one at a time, in ball order, by greedy.c's
+    compiled loop (`_kernels`), one pool block of up to 2¹⁶ balls per call,
+    which reads one take of every pool in place.  Pool takes do not depend
+    on how they are split, so the block size changes no drawn value.
     """
     check_sizes(n, d, m, seed)
     require_memory(greedy_int64s(n, d), f"a greedy trial with n={n}, d={d}, m={m}")
-    place = _greedy_kernel()
+    place = _kernels().place_least_loaded
     loads = np.zeros(n, dtype=np.int64)
     seen = np.zeros(n, dtype=np.uint8)
     top = 0
     pools, _ = make_pools(n, d, seed)
     for start in range(0, m, _CHUNK):
         k = min(_CHUNK, m - start)
-        top = place(loads, seen, np.stack([pool.take(k) for pool in pools]), d, k, top)
+        takes = [pool.take(k) for pool in pools]
+        top = place(loads.ctypes.data, seen.ctypes.data,
+                    (ctypes.c_void_p * d)(*(t.ctypes.data for t in takes)), d, k, top)
+        del takes  # so that no block is held while the next one is drawn
     rest = [0] * (d - 1)
     return _summary(loads, np.count_nonzero(seen), [m] + rest, [top] + rest,
                     f"greedy-{d}-choice", seed)
@@ -524,27 +549,26 @@ def per_trial_max_load_counts(n: int, d: int, m: int, strategy, trials: int,
 
 
 def _run_batch(n: int, d: int, m: int, strategy, trials: int, seed: int):
-    """`_run_vectorized` over `trials` trials of m balls, all on the batch's one stream."""
+    """`_run` over `trials` trials of m balls, all on the batch's one stream."""
     pool = _bin_pool(n, seed, POOL_TAG, 0)
-    keys = pool.take(trials * m)
-    keys += np.repeat(np.arange(0, trials * n, n), m)
-    return _run_vectorized(keys, trials, n, d, strategy, [pool] * d, _aux_pool(seed))
+    return _run(strategy, trials, n, d, m, [pool] * d, _aux_pool(seed))
 
 
 def simulate_max_load_counts(n: int, d: int, m: int, strategy, trials: int,
                              seed: int) -> dict[int, int]:
     """Max-load frequency table over many trials, batched across trials.
 
-    Law-equivalent to running `run_trial` per trial, but one `_run_vectorized`
-    call runs every trial on a state of trials·n bins, trial t's at keys
-    t·n + bin.  Every round reads the one stream SeedSequence((seed,
-    POOL_TAG, 0)): round 1 takes trials·m values, trial after trial, and each
-    later round one per rejected ball, in (trial, ball) order.
+    Law-equivalent to running `run_trial` per trial, but one `_run` call
+    runs every trial on a state of trials·n bins, trial t's at keys t·n +
+    bin.  Every round reads the one stream SeedSequence((seed, POOL_TAG, 0)):
+    round 1 takes trials·m values, trial after trial, and each later round
+    one per rejected ball, in (trial, ball) order.
     """
     check_sizes(n, d, m, seed)
     if trials < 1:
         raise ConfigError(f"trial count must be >= 1, got {trials}")
-    require_memory(trial_int64s(trials * n, d, trials * m),
+    # the batch also keeps each trial's rejected count and what it offers next
+    require_memory(trial_int64s(trials * n, d, trials * m, strategy) + 2 * trials,
                    f"{trials} batched trials with n={n}, d={d}, m={m}")
     loads, *_ = _run_batch(n, d, m, strategy, trials, seed)
     values, freq = np.unique(loads.reshape(trials, n).max(axis=1), return_counts=True)

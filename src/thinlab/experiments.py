@@ -164,11 +164,11 @@ def run_experiment(config: ExperimentConfig, keep_trials: bool = False):
         raise ConfigError("run_experiment needs a single n (use sweep for grids)")
     m = balls_from_rho(config.rho, config.n)
     check_sizes(config.n, config.d, m)
+    strategy = make_strategy(config.strategy, config.n, config.d)
     concurrent = min(config.threads, config.trials)
-    require_memory(concurrent * trial_int64s(config.n, config.d, m),
+    require_memory(concurrent * trial_int64s(config.n, config.d, m, strategy),
                    f"an experiment with n={config.n}, d={config.d}, m={m} "
                    f"on {concurrent} thread(s)")
-    strategy = make_strategy(config.strategy, config.n, config.d)
     start = time.perf_counter()
 
     def one(trial_index: int) -> TrialResult:

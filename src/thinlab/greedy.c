@@ -1,20 +1,32 @@
-/* Greedy d-choice placement, one ball at a time (thinlab.core.run_greedy_d_choice).
+/* thinlab's per-ball loops, built once and cached by thinlab.core._kernels.
  *
- * Places k balls in ball order: ball t is offered bins offers[j*k + t] for
- * j < d and goes to its least-loaded offer, the lowest bin on ties.  Ball t's
+ * place_least_loaded: greedy d-choice (thinlab.core.run_greedy_d_choice).
+ * Places k balls in ball order: ball t is offered bins offers[j][t] for j < d
+ * and goes to its least-loaded offer, the lowest bin on ties.  Ball t's
  * first offer is marked in seen.  Returns the largest load, starting from
  * top, the largest before the block.
+ *
+ * thin_narrow, thin_wide: one block of a thinning round (thinlab.core's
+ * rule path), on one-byte and on int64 counts.  tally[0] is the trial of the
+ * block's first ball and tally[1] that trial's balls left in the round; then
+ * come waiting[trials], each trial's balls in the round, and
+ * rejected[trials].  Ball t's key is trial*n + bins[t].  It is accepted if
+ * the key's round count is at most cap, or if coins is given and its coin
+ * coins[t] is at least beta: then row[key] and loads[key] count it.
+ * Otherwise rejected[trial] counts it.  Returns the balls placed: k, or, on
+ * one-byte counts, the first ball whose key's load is already 255, which the
+ * caller places on widened counts.
  */
 #include <stdint.h>
 
-int64_t place_least_loaded(int64_t *loads, uint8_t *seen, const int64_t *offers,
+int64_t place_least_loaded(int64_t *loads, uint8_t *seen, const int64_t *const *offers,
                            int64_t d, int64_t k, int64_t top)
 {
     for (int64_t t = 0; t < k; t++) {
-        int64_t best = offers[t];
+        int64_t best = offers[0][t];
         seen[best] = 1;
         for (int64_t j = 1; j < d; j++) {
-            int64_t bin = offers[j * k + t];
+            int64_t bin = offers[j][t];
             if (loads[bin] < loads[best] || (loads[bin] == loads[best] && bin < best))
                 best = bin;
         }
@@ -23,3 +35,33 @@ int64_t place_least_loaded(int64_t *loads, uint8_t *seen, const int64_t *offers,
     }
     return top;
 }
+
+#define THIN(name, count_t, full)                                                        \
+int64_t name(count_t *row, count_t *loads, const int64_t *bins, const double *coins,     \
+             int64_t k, int64_t n, int64_t trials, int64_t *tally, int64_t cap,          \
+             double beta)                                                                \
+{                                                                                        \
+    const int64_t *waiting = tally + 2;                                                  \
+    int64_t *rejected = tally + 2 + trials;                                              \
+    int64_t trial = tally[0], left = tally[1], t;                                        \
+    for (t = 0; t < k; t++) {                                                            \
+        while (left == 0)                                                                \
+            left = waiting[++trial];                                                     \
+        int64_t key = trial * n + bins[t];                                               \
+        if (loads[key] == (full))                                                        \
+            break;                                                                       \
+        if (row[key] <= cap || (coins && coins[t] >= beta)) {                            \
+            row[key]++;                                                                  \
+            loads[key]++;                                                                \
+        } else {                                                                         \
+            rejected[trial]++;                                                           \
+        }                                                                                \
+        left--;                                                                          \
+    }                                                                                    \
+    tally[0] = trial;                                                                    \
+    tally[1] = left;                                                                     \
+    return t;                                                                            \
+}
+
+THIN(thin_narrow, uint8_t, UINT8_MAX)
+THIN(thin_wide, int64_t, INT64_MAX)

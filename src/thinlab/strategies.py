@@ -7,19 +7,16 @@ auxiliary randomness stream.  Round d is always an accept and the engine
 never consults the strategy there.  Strategies are immutable after
 construction and safe to share across trials.
 
-A strategy has three views of one rule.  `decide` is the per-ball rule that
-`step` and the oracle call.  `accept_counts(i, offered, suggestions, aux)` is
-the engine's round kernel: given the round's offers per bin, it rewrites
-`offered` in place into how many of them are accepted.  `suggestions` is the
-round's offered bins (the keys of a batch) in ball order.  Round 1's
-`offered` covers every key, so it is indexed by the suggestions themselves;
-a later round's covers either every key or only the keys offered in that
-round, in increasing order.  `accept_mask(i, suggestions, aux)` is the
-sequential reference: the mask of the round's accepted balls, stated as the
-rule is defined.  The engine runs it only for an object without
-`accept_counts`, such as a delegating proxy, and tests compare the two
-kernels byte for byte.  All three read the aux stream alike: the values,
-in the order, that per-ball `decide` calls would read.
+A strategy states one rule three ways.  `decide` is the per-ball rule that
+`step` and the oracle call.  `rule` is the same rule as plain data, a
+`core.RoundRule` (a cap on the bin's round count, a coin rate and the
+rounds they bind in), which the engine runs through one compiled per-ball
+loop.  `accept_mask(i, suggestions, aux)` is the mask of a round's accepted
+balls, stated as the rule is defined; the engine runs it only for an object
+with no `rule`, such as a delegating proxy, and tests compare the two byte
+for byte.  All three read the aux stream alike: the values, in the order,
+that per-ball `decide` calls would read.  A subclass that changes `decide`
+states its `rule` anew, or sets it to None.
 """
 
 from __future__ import annotations
@@ -28,19 +25,16 @@ import math
 
 import numpy as np
 
-from .core import ConfigError, occurrence_rank
+from .core import ConfigError, RoundRule, occurrence_rank
 from .theory import ell
 
 
 class Strategy:
-    """Base decision rule; subclasses set `name` and implement all three views.
-
-    `decide` is the per-ball rule, `accept_counts` the engine's round kernel
-    and `accept_mask` its sequential reference; see the module docstring.
-    """
+    """Base decision rule; subclasses set `name` and `rule`, and see the module docstring."""
 
     name = "strategy"
     deterministic = True
+    rule: RoundRule | None = None
 
     def decide(self, i: int, bin_index: int, state, aux) -> bool:
         raise NotImplementedError
@@ -53,15 +47,13 @@ class AlwaysAccept(Strategy):
     """Accept every offer; reduces d-thinning to classical one-choice."""
 
     name = "always-accept"
+    rule = RoundRule()
 
     def decide(self, i, bin_index, state, aux):
         return True
 
     def accept_mask(self, i, suggestions, aux):
         return np.ones(suggestions.size, dtype=bool)
-
-    def accept_counts(self, i, offered, suggestions, aux):
-        """Every offer is accepted, so `offered` already holds the accepted counts."""
 
 
 class ThresholdStrategy(Strategy):
@@ -77,6 +69,7 @@ class ThresholdStrategy(Strategy):
             raise ConfigError(f"threshold parameter must be positive, got {ell_value}")
         self.ell = float(ell_value)
         self.cap = math.floor(self.ell)
+        self.rule = RoundRule(cap=self.cap)
         self.name = name
 
     def decide(self, i, bin_index, state, aux):
@@ -87,9 +80,6 @@ class ThresholdStrategy(Strategy):
     def accept_mask(self, i, suggestions, aux):
         # a bin's first cap+1 round-i offers are accepted; every later one sees count > cap
         return occurrence_rank(suggestions) <= self.cap
-
-    def accept_counts(self, i, offered, suggestions, aux):
-        np.minimum(offered, self.cap + 1, out=offered)
 
 
 class BetaThinning(Strategy):
@@ -110,6 +100,7 @@ class BetaThinning(Strategy):
             raise ConfigError(f"cap must be >= 0, got {cap}")
         self.beta = float(beta)
         self.cap = int(cap)
+        self.rule = RoundRule(cap=self.cap, beta=self.beta, rounds=1)
         self.name = f"beta-thinning:beta={self.beta!r},cap={self.cap}"
 
     def decide(self, i, bin_index, state, aux):
@@ -125,21 +116,6 @@ class BetaThinning(Strategy):
             return np.ones(suggestions.size, dtype=bool)
         u = aux.take(suggestions.size)
         return (occurrence_rank(suggestions) <= self.cap) | (u >= self.beta)
-
-    def accept_counts(self, i, offered, suggestions, aux):
-        """Round 1: each bin loses its balls after the first cap+1 whose coin is below beta.
-
-        One coin per ball is taken, as `accept_mask` takes them; only the
-        balls of bins offered more than cap+1 times are ranked.
-        """
-        if i != 1:
-            return
-        u = aux.take(suggestions.size)
-        k = self.cap + 1
-        over = np.flatnonzero((offered > k)[suggestions])
-        if over.size:
-            late = over[occurrence_rank(suggestions[over]) >= k]
-            np.subtract.at(offered, suggestions[late[u[late] < self.beta]], 1)
 
 
 def threshold_for(n: int, d: int) -> ThresholdStrategy:

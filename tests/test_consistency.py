@@ -11,13 +11,14 @@ from collections import Counter
 
 import pytest
 
-from thinlab.core import (AUX_TAG, POOL_TAG, _generator, _result_from_state, _run_batch,
-                          _sparse_round, make_pools, new_state, run_greedy_d_choice,
-                          run_trial, simulate_max_load_counts)
+from thinlab.core import (AUX_TAG, POOL_TAG, _aux_pool, _bin_pool, _generator,
+                          _result_from_state, _run_batch, _summary, make_pools,
+                          new_state, run_greedy_d_choice, run_trial, simulate_max_load_counts)
 from thinlab.oracle import compare_empirical, exact_distribution
 from thinlab.strategies import AlwaysAccept, BetaThinning, ThresholdStrategy, threshold_for
 
-from test_strategies import MaskOnly
+from test_core import reference_step_run
+from test_strategies import MaskOnly, counts_run
 
 
 def naive_threshold_run(n, d, cap, m, pools):
@@ -92,8 +93,9 @@ def naive_batched_counts(n, d, m, cap, trials, seed, beta=None):
 
     Round 1 reads trials·m values of the batch stream, one trial after
     another; each later round reads one value per rejected ball, in (trial,
-    ball) order.  With beta set (beta-thinning, d = 2), round 1 reads one aux
-    coin per ball in the same order, and a coin >= beta forces acceptance.
+    ball) order.  With beta set (beta-thinning), round 1 reads one aux coin
+    per ball in the same order, a coin >= beta forces acceptance, and later
+    rounds accept every ball.
     """
     rng = _generator(seed, POOL_TAG, 0)
     coins = iter(_generator(seed, AUX_TAG).random(trials * m).tolist())
@@ -106,7 +108,7 @@ def naive_batched_counts(n, d, m, cap, trials, seed, beta=None):
             counts = {}
             rejected.append(0)
             for b in offers[t]:
-                forced = beta is not None and i == 1 and next(coins) >= beta
+                forced = beta is not None and (i > 1 or next(coins) >= beta)
                 if i == d or forced or counts.get(b, 0) <= cap:
                     counts[b] = counts.get(b, 0) + 1
                     loads[t][b] = loads[t].get(b, 0) + 1
@@ -236,40 +238,68 @@ class TestBatchedAgreement:
             naive_batched_counts(n, 2, m, cap, 300, seed, beta=beta)
 
 
-class TestSparseRounds:
-    """Later rounds on either side of the dense/sparse switch give the naive run's values.
+class TestRuleStream:
+    """Every rule's compiled stream gives the numpy reference's bytes and the per-ball loop's.
 
-    Round 2 offers r_2 balls.  Each seed below puts r_2 within 16 of the
-    switch, on the side its name says; round 3 offers a few dozen and runs
-    sparse.  The switch itself is read from `_sparse_round`.
+    A single trial is checked against `counts_run` and `step`, a batch
+    against `counts_run` and `naive_batched_counts`.  The last cases put
+    bins past 255 balls in the rows and the loads, so the one-byte counts
+    widen, and their batches span two 2**16-value blocks.
     """
 
-    CAP1 = ThresholdStrategy(1.5)
+    STRATEGIES = [ThresholdStrategy(0.5), ThresholdStrategy(1.5), AlwaysAccept(),
+                  BetaThinning(0.5, 0), BetaThinning(0.9, 1)]
+    IDS = ["cap0", "cap1", "always", "beta0.5-cap0", "beta0.9-cap1"]
 
-    @pytest.mark.parametrize("seed,sparse", [(0, True), (3, False)], ids=["sparse", "dense"])
-    def test_single_trial(self, seed, sparse):
-        # n = 20,000: the switch sits at r_2 = 1,476, and m = 17,500 puts r_2 near it
-        n, m = 20_000, 17_500
-        reached = TestNaiveAgreement.check_threshold(n, 3, m, self.CAP1, seed)
-        assert _sparse_round(reached[1], n) is sparse
-        assert _sparse_round(reached[2], n)
-        masked = run_trial(n, 3, m, MaskOnly(self.CAP1), seed)
-        assert masked.to_json() == run_trial(n, 3, m, self.CAP1, seed).to_json()
+    @staticmethod
+    def check_single(n, d, m, strat, seed):
+        result = run_trial(n, d, m, strat, seed)
+        reference = counts_run(n, d, m, strat, *make_pools(n, d, seed))
+        assert result.to_json() == _summary(*reference, strat.name, seed).to_json()
+        state, _, _ = reference_step_run(n, d, m, strat, seed)
+        assert result == _result_from_state(state, strat.name, seed)
+        return result
 
-    @pytest.mark.parametrize("seed,sparse", [(10, True), (2, False)], ids=["sparse", "dense"])
-    def test_batched(self, seed, sparse):
-        # 50 trials of n = 2,000: the switch sits at r_2 = 11,476 over 100,000 keys
-        n, m, trials = 2_000, 2_080, 50
-        reached = _run_batch(n, 3, m, self.CAP1, trials, seed)[2]
-        assert _sparse_round(reached[1], trials * n) is sparse
-        assert _sparse_round(reached[2], trials * n)
-        table = simulate_max_load_counts(n, 3, m, self.CAP1, trials, seed)
-        assert table == naive_batched_counts(n, 3, m, self.CAP1.cap, trials, seed)
-        assert simulate_max_load_counts(n, 3, m, MaskOnly(self.CAP1), trials, seed) == table
+    @staticmethod
+    def check_batched(n, d, m, strat, trials, seed):
+        pool = _bin_pool(n, seed, POOL_TAG, 0)
+        loads, psi, r, top = _run_batch(n, d, m, strat, trials, seed)
+        reference = counts_run(n, d, m, strat, [pool] * d, _aux_pool(seed), trials)
+        assert (loads.tolist(), int(psi), r, [int(v) for v in top]) == \
+            (reference[0].tolist(), reference[1], reference[2], [int(v) for v in reference[3]])
+        beta = getattr(strat, "beta", None)
+        cap = getattr(strat, "cap", m)
+        assert simulate_max_load_counts(n, d, m, strat, trials, seed) == \
+            naive_batched_counts(n, d, m, cap, trials, seed, beta=beta)
+        return loads, top
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("strat", STRATEGIES, ids=IDS)
+    def test_single(self, strat, d):
+        for n, m, seed in ((1, 5, 1), (7, 40, 2), (500, 1500, 3)):
+            self.check_single(n, d, m, strat, seed)
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("strat", STRATEGIES, ids=IDS)
+    def test_batched(self, strat, d):
+        for n, m, trials in ((3, 4, 2000), (5, 9, 300)):
+            self.check_batched(n, d, m, strat, trials, seed=n + d)
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("strat", [AlwaysAccept(), BetaThinning(0.1, 1),
+                                       ThresholdStrategy(255.5)],
+                             ids=["always", "beta0.1-cap1", "cap255"])
+    def test_counts_past_one_byte(self, strat, d):
+        # 300 balls a bin: a round's row and the loads pass what one byte holds
+        n, m = 100, 3 * 10**4
+        result = self.check_single(n, d, m, strat, seed=90 + d)
+        assert result.max_load > 255 and max(result.round_load_max) > 255
+        loads, top = self.check_batched(n, d, m, strat, trials=3, seed=95 + d)
+        assert loads.max() > 255 and max(top) > 255
 
 
 class TestEmptyRounds:
-    """A round that no ball reaches reports `round_load_max` 0, dense or sparse."""
+    """A round that no ball reaches reports `round_load_max` 0, on few keys or on many."""
 
     M = 6
     STRATEGIES = [AlwaysAccept(), ThresholdStrategy(M + 10.5), MaskOnly(AlwaysAccept()),
@@ -279,7 +309,6 @@ class TestEmptyRounds:
     @pytest.mark.parametrize("strat", STRATEGIES, ids=IDS)
     @pytest.mark.parametrize("n", [5, 10_000], ids=["dense", "sparse"])
     def test_single_trial(self, strat, n):
-        assert _sparse_round(0, n) is (n > 5)
         result = run_trial(n, 3, self.M, strat, seed=81)
         assert result.rejection_counters == (self.M, 0, 0)
         assert result.round_load_max[1:] == (0, 0)
@@ -289,7 +318,6 @@ class TestEmptyRounds:
     @pytest.mark.parametrize("trials", [100, 5_000], ids=["dense", "sparse"])
     def test_batched(self, strat, trials):
         n = 3
-        assert _sparse_round(0, trials * n) is (trials > 100)
         loads, _, reached, round_load_max = _run_batch(n, 3, self.M, strat, trials, seed=82)
         assert reached == [trials * self.M, 0, 0]
         assert round_load_max[1:] == [0, 0]

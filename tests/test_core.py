@@ -478,7 +478,8 @@ def traced_peak(run) -> int:
 class TestMemoryEstimates:
     """Each estimate bounds the allocation peak of the run it refuses.
 
-    Cap 0 is the worst case: nearly every ball in a round is ranked.
+    Cap 0 is the mask kernel's worst case: nearly every ball in a round is
+    ranked.
     """
 
     N = 10**5
@@ -489,18 +490,19 @@ class TestMemoryEstimates:
         n = self.N
         strat = threshold_for(n, d) if ell_value is None else ThresholdStrategy(ell_value)
         peak = traced_peak(lambda: run_trial(n, d, n, strat, seed=1))
-        assert 8 * trial_int64s(n, d, n) >= peak
+        assert 8 * trial_int64s(n, d, n, strat) >= peak
 
     @pytest.mark.parametrize("cap", [0, 3])
     def test_beta_thinning_trial(self, cap):
         n = self.N
-        peak = traced_peak(lambda: run_trial(n, 2, n, BetaThinning(0.9, cap), seed=1))
-        assert 8 * trial_int64s(n, 2, n) >= peak
+        strat = BetaThinning(0.9, cap)
+        peak = traced_peak(lambda: run_trial(n, 2, n, strat, seed=1))
+        assert 8 * trial_int64s(n, 2, n, strat) >= peak
 
     def test_always_accept_trial(self):
         n = self.N
         peak = traced_peak(lambda: run_trial(n, 1, n, AlwaysAccept(), seed=1))
-        assert 8 * trial_int64s(n, 1, n) >= peak
+        assert 8 * trial_int64s(n, 1, n, AlwaysAccept()) >= peak
 
     @pytest.mark.parametrize("d,strat", [
         (2, ThresholdStrategy(0.5)), (3, ThresholdStrategy(0.5)), (2, BetaThinning(0.9, 0))],
@@ -510,7 +512,7 @@ class TestMemoryEstimates:
 
         n = self.N
         peak = traced_peak(lambda: run_trial(n, d, n, MaskOnly(strat), seed=1))
-        assert 8 * trial_int64s(n, d, n) >= peak
+        assert 8 * trial_int64s(n, d, n, MaskOnly(strat)) >= peak
 
     @pytest.mark.parametrize("d,balls_per_bin", [(2, 1), (3, 1), (2, 10)],
                              ids=["2", "3", "2-m=10n"])
@@ -528,11 +530,11 @@ class TestMemoryEstimates:
     ])
     def test_batched_counts(self, n, d, m, strat, trials):
         peak = traced_peak(lambda: simulate_max_load_counts(n, d, m, strat, trials, seed=1))
-        assert 8 * trial_int64s(trials * n, d, trials * m) >= peak
+        assert 8 * trial_int64s(trials * n, d, trials * m, strat) >= peak
 
 
 class TestTrialPeak:
-    """A counts-kernel trial holds its round-1 take and one row of loads.
+    """A rule trial holds two one-byte rows and a few pool blocks.
 
     That is less than the three rows `trial_int64s` budgets for the mask kernel.
     """
@@ -543,7 +545,7 @@ class TestTrialPeak:
         assert peak <= 8 * 3 * n
 
     def test_beta_thinning_trial_at_a_million_bins(self):
-        # the coins, the take and the row; the ranked balls are few
+        # a block of coins beside the rows and the bin blocks
         n = 10**6
         peak = traced_peak(lambda: run_trial(
             n, 2, n, make_strategy("beta-thinning:beta=0.5", n, 2), 1))

@@ -20,7 +20,7 @@ from thinlab.core import ConfigError, mix_seed, run_greedy_d_choice, run_trial
 from thinlab.experiments import (AggregateResult, ExperimentConfig,
                                  balls_from_rho, csv_header, emit, format_results,
                                  nearest_rank, run_experiment, sweep)
-from thinlab.strategies import AlwaysAccept
+from thinlab.strategies import AlwaysAccept, ThresholdStrategy
 from thinlab.theory import ell
 
 
@@ -209,27 +209,30 @@ class TestGreedyDChoice:
 
     @pytest.fixture
     def empty_cache(self, tmp_path, monkeypatch):
-        """greedy.c copied into tmp_path, so its kernel is built into an empty __pycache__."""
+        """greedy.c copied into tmp_path, so its kernels are built into an empty __pycache__."""
         source = tmp_path / "greedy.c"
-        shutil.copy(core._GREEDY_SOURCE, source)
-        monkeypatch.setattr(core, "_GREEDY_SOURCE", str(source))
-        core._greedy_kernel.cache_clear()
+        shutil.copy(core._KERNEL_SOURCE, source)
+        monkeypatch.setattr(core, "_KERNEL_SOURCE", str(source))
+        core._kernels.cache_clear()
         yield tmp_path / "__pycache__"
-        core._greedy_kernel.cache_clear()
+        core._kernels.cache_clear()
 
     def test_no_compiler(self, empty_cache, tmp_path, monkeypatch):
         monkeypatch.setenv("PATH", str(tmp_path))  # a directory with no cc in it
-        with pytest.raises(RuntimeError, match=r"`cc -O2 -shared -fPIC -o \S+ \S+greedy\.c`, "
-                                               r"but no C compiler `cc` is on PATH"):
-            run_greedy_d_choice(10, 2, 10, 1)
+        for run in (lambda: run_greedy_d_choice(10, 2, 10, 1),
+                    lambda: run_trial(10, 2, 10, ThresholdStrategy(0.5), 1)):
+            with pytest.raises(RuntimeError, match=r"`cc -O2 -shared -fPIC -o \S+ \S+greedy\.c`, "
+                                                   r"but no C compiler `cc` is on PATH"):
+                run()
         assert not list(empty_cache.iterdir())
 
     def test_cached_library_runs_no_compiler(self, tmp_path):
         package = tmp_path / "thinlab"
         shutil.copytree(Path(core.__file__).parent, package,
                         ignore=shutil.ignore_patterns("__pycache__"))
-        script = ("from thinlab import run_greedy_d_choice; "
-                  "print(run_greedy_d_choice(10, 2, 100, 1).to_json())")
+        script = ("from thinlab import ThresholdStrategy, run_greedy_d_choice, run_trial; "
+                  "print(run_greedy_d_choice(10, 2, 100, 1).to_json()); "
+                  "print(run_trial(10, 2, 100, ThresholdStrategy(0.5), 1).to_json())")
 
         def fresh_process(path):
             env = {**os.environ, "PYTHONPATH": str(tmp_path), "PATH": path}
@@ -241,23 +244,30 @@ class TestGreedyDChoice:
         stamp = library.stat().st_mtime_ns
         # with no cc on PATH, only loading the cached library can succeed
         assert fresh_process(str(tmp_path)) == built
-        assert built == run_greedy_d_choice(10, 2, 100, 1).to_json() + "\n"
+        assert built == (run_greedy_d_choice(10, 2, 100, 1).to_json() + "\n"
+                         + run_trial(10, 2, 100, ThresholdStrategy(0.5), 1).to_json() + "\n")
         assert library.stat().st_mtime_ns == stamp
 
     def test_threads_from_empty_cache(self, empty_cache):
-        # four first calls start together, so each builds the kernel and moves it into place
+        # four first calls start together, so each builds the kernels and moves them into place;
+        # even seeds run greedy trials and odd ones threshold trials
         start = threading.Barrier(4)
 
         def trial(seed):
-            start.wait(timeout=60)
+            if seed % 2:
+                return run_trial(1000, 2, 10**5, ThresholdStrategy(1.5), seed).to_json()
             return run_greedy_d_choice(1000, 2, 10**5, seed).to_json()
 
+        def first(seed):
+            start.wait(timeout=60)
+            return trial(seed)
+
         with ThreadPoolExecutor(4) as pool:
-            threaded = list(pool.map(trial, range(8), timeout=120))
-        assert threaded == [run_greedy_d_choice(1000, 2, 10**5, s).to_json() for s in range(8)]
+            threaded = list(pool.map(first, range(8), timeout=120))
+        assert threaded == [trial(s) for s in range(8)]
         # one library, and no temporary left behind
         library, = empty_cache.iterdir()
-        assert re.fullmatch(r"greedy-[0-9a-f]{16}\.so", library.name)
+        assert re.fullmatch(r"greedy-[0-9a-f]{8}\.so", library.name)
 
 
 class TestOneChoiceSanity:

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from thinlab.core import (ConfigError, _result_from_state, make_pools, new_state,
-                          run_trial, simulate_max_load_counts, step)
+                          occurrence_rank, run_trial, simulate_max_load_counts, step)
 from thinlab.strategies import (AlwaysAccept, BetaThinning, ThresholdStrategy,
                                 beta_thinning, make_strategy, scaled_threshold,
                                 threshold_for)
@@ -93,8 +93,58 @@ class TestAlwaysAccept:
         assert AlwaysAccept().decide(1, 0, state, None) is True
 
 
+def accept_counts(strategy, i, offered, suggestions, aux):
+    """numpy reference of a built-in rule's round i < d: `offered` rewritten into accepted counts.
+
+    `offered` holds the round's offers per key, over every key, and
+    `suggestions` the round's keys in ball order.  Threshold keeps a key's
+    first cap+1 offers.  Beta-thinning takes one coin per round-1 ball, as
+    `accept_mask` does, and a key loses its balls after the first cap+1
+    whose coin is below beta; only the balls of keys offered more than
+    cap+1 times are ranked.  Always-accept, and beta-thinning after round 1,
+    keep every offer.
+    """
+    if isinstance(strategy, ThresholdStrategy):
+        np.minimum(offered, strategy.cap + 1, out=offered)
+    elif isinstance(strategy, BetaThinning) and i == 1:
+        u = aux.take(suggestions.size)
+        k = strategy.cap + 1
+        over = np.flatnonzero((offered > k)[suggestions])
+        if over.size:
+            late = over[occurrence_rank(suggestions[over]) >= k]
+            np.subtract.at(offered, suggestions[late[u[late] < strategy.beta]], 1)
+
+
+def counts_run(n, d, m, strategy, pools, aux, trials=1):
+    """Whole-round numpy reference of the engine's rule path, on its streams.
+
+    Each round counts its offers per key (trial t's bin b is key t·n + b)
+    with `bincount` and turns them into its accepted counts with
+    `accept_counts`.  Round i+1 offers each trial's rejected balls, in
+    (trial, ball) order.  Returns the loads, ψ, r_1..r_d and each round's
+    largest accepted count, as `core._run` does.
+    """
+    keys = trials * n
+    current = pools[0].take(trials * m) + np.repeat(np.arange(0, keys, n), m)
+    waiting = np.full(trials, m)
+    r, top = [], []
+    for i in range(1, d + 1):
+        r.append(current.size)
+        offered = np.bincount(current, minlength=keys)
+        if i == 1:
+            psi, loads = np.count_nonzero(offered), np.zeros(keys, np.int64)
+        if i < d:
+            accept_counts(strategy, i, offered, current, aux)
+        loads += offered
+        top.append(offered.max(initial=0))
+        if i < d:
+            waiting -= offered.reshape(trials, n).sum(axis=1)
+            current = pools[i].take(int(waiting.sum())) + np.arange(0, keys, n).repeat(waiting)
+    return loads, psi, r, top
+
+
 class TestAcceptCounts:
-    """`accept_counts` is the per-bin total of the balls `accept_mask` accepts."""
+    """The reference `accept_counts` is the per-bin total of the balls `accept_mask` accepts."""
 
     @settings(deadline=None)
     @given(values=st.lists(st.integers(0, 12), max_size=80), cap=st.integers(0, 3),
@@ -105,7 +155,7 @@ class TestAcceptCounts:
                  "beta-thinning": BetaThinning(0.5, cap)}[kind]
         v = np.asarray(values, dtype=np.int64)
         offered = np.bincount(v, minlength=v.max(initial=-1) + 1 + spare)
-        strat.accept_counts(i, offered, v, make_pools(1, 1, seed)[1])
+        accept_counts(strat, i, offered, v, make_pools(1, 1, seed)[1])
         expected = np.bincount(v[strat.accept_mask(i, v, make_pools(1, 1, seed)[1])],
                                minlength=offered.size)
         assert offered.tolist() == expected.tolist()
@@ -127,7 +177,7 @@ class MaskOnly:
 
 
 class TestMaskOnlyStrategy:
-    """An object without `accept_counts` runs through the mask kernel, to the same bytes."""
+    """An object without a `rule` runs through the mask kernel, to the same bytes."""
 
     STRATEGIES = [ThresholdStrategy(0.5), ThresholdStrategy(1.5), AlwaysAccept(),
                   BetaThinning(0.5, 0), BetaThinning(0.9, 1)]
