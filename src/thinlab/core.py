@@ -4,14 +4,14 @@ A ball is offered up to d consecutive uniformly random bins.  A strategy may
 reject the first d-1 offers; the d-th offer is always placed.  The engine
 reports, per round i, how many balls reached that round (the rejection
 counters r_i) and the round's largest accepted count per bin, and how many
-bins were ever offered as a primary suggestion.  The per-ball `step` path
-keeps every round's accepted loads, which `decide` reads.  A strategy that
-states its rule as data (`RoundRule`) runs every round through one compiled
-per-ball loop (greedy.c), for a single trial and for a batch of trials
-alike: each round is streamed from its pool in 2¹⁶-value blocks into a
-one-byte round row and one-byte loads, so a trial holds two bytes per bin.
-An object with no rule, such as a mask-only proxy, runs the whole-round
-mask path instead.
+bins were ever offered as a primary suggestion.  A strategy states its
+rule once, as data (`RoundRule`).  The per-ball `step` path keeps every
+round's accepted loads, which the strategy's `decide` reads.  The engine
+runs every round of the rule through one compiled per-ball loop (greedy.c),
+for a single trial and for a batch of trials alike: each round is streamed
+from its pool in 2¹⁶-value blocks into a one-byte round row and one-byte
+loads, so a trial holds two bytes per bin.  An object with no rule, such as
+a mask-only proxy, runs the whole-round mask path instead.
 
 Bins are indexed 0..n-1 and ball indices are 0-based throughout.
 
@@ -391,18 +391,24 @@ def _run_vectorized(strategy, trials: int, n: int, d: int, m: int, pools, aux):
 
 @dataclass(frozen=True)
 class RoundRule:
-    """A strategy's round rule, as plain data for the compiled loop.
+    """A strategy's round rule, as plain data: the compiled loop runs it and `Strategy` reads it.
 
-    In rounds 1..rounds before the last (every round before the last if
-    rounds is None), a ball is accepted if its bin's count in the round so
-    far is at most cap (at least 0), or if its coin, one aux value per ball
-    in ball order, is at least beta.  cap None accepts every ball and beta
-    None takes no coin.  Other rounds accept every ball.
+    In the rounds it binds in (`binds`), a ball is accepted if its bin's
+    count in the round so far is at most cap (at least 0), or if its coin,
+    one aux value per ball in ball order, is at least beta.  cap None
+    accepts every ball and beta None takes no coin.  Other rounds accept
+    every ball and take no coin.  The loop reads a round's coins after the
+    round before's, `step` a ball's coins in turn: where a coin binds in two
+    rounds, the two agree in law, not in bytes.
     """
 
     cap: int | None = None
     beta: float | None = None
     rounds: int | None = None
+
+    def binds(self, i: int, d: int) -> bool:
+        """Round i of d binds if it is before the last and in 1..rounds (any, if rounds is None)."""
+        return i < d and (self.rounds is None or i <= self.rounds)
 
 
 def _run_rule(strategy, trials: int, n: int, d: int, m: int, pools, aux):
@@ -424,7 +430,7 @@ def _run_rule(strategy, trials: int, n: int, d: int, m: int, pools, aux):
     addresses = row.ctypes.data, loads.ctypes.data, tally.ctypes.data  # each takes µs to look up
     rejection_counters, round_load_max = [], []
     for i in range(1, d + 1):
-        binds = i < d and i <= (rule.rounds or d)
+        binds = rule.binds(i, d)
         cap = min(rule.cap, 2**63 - 1) if binds and rule.cap is not None else 2**63 - 1
         beta = rule.beta if binds else None
         rejection_counters.append(int(waiting.sum()))
@@ -474,14 +480,18 @@ def _kernels() -> ctypes.CDLL:
     source's crc32, so an edited source is built afresh and an unchanged one
     is only loaded, with no compiler run and no module imported.  It is
     compiled to a temporary name and moved into place with os.replace, so
-    threads or processes that build at once each load a whole library.
-    ctypes releases the GIL while a loop runs.
+    threads or processes that build at once each load a whole library.  A
+    build then removes the other `greedy-*.so` there (not other builders'
+    temporaries); a process that loaded one keeps it mapped.  ctypes
+    releases the GIL while a loop runs.
     """
     with open(_KERNEL_SOURCE, "rb") as f:
         checksum = zlib.crc32(f.read())
     cache_dir = os.path.join(os.path.dirname(_KERNEL_SOURCE), "__pycache__")
     library = os.path.join(cache_dir, f"greedy-{checksum:08x}.so")
     if not os.path.exists(library):
+        import contextlib
+        import glob
         import subprocess
         import threading
 
@@ -499,6 +509,9 @@ def _kernels() -> ctypes.CDLL:
         finally:
             if os.path.exists(built):
                 os.remove(built)
+        for stale in set(glob.glob(os.path.join(cache_dir, "greedy-*.so"))) - {library}:
+            with contextlib.suppress(OSError):  # another builder may have removed it
+                os.remove(stale)
     lib = ctypes.CDLL(library)
     address, i64 = ctypes.c_void_p, ctypes.c_int64
     lib.place_least_loaded.argtypes = [address] * 3 + [i64] * 3

@@ -7,16 +7,11 @@ auxiliary randomness stream.  Round d is always an accept and the engine
 never consults the strategy there.  Strategies are immutable after
 construction and safe to share across trials.
 
-A strategy states one rule three ways.  `decide` is the per-ball rule that
-`step` and the oracle call.  `rule` is the same rule as plain data, a
-`core.RoundRule` (a cap on the bin's round count, a coin rate and the
-rounds they bind in), which the engine runs through one compiled per-ball
-loop.  `accept_mask(i, suggestions, aux)` is the mask of a round's accepted
-balls, stated as the rule is defined; the engine runs it only for an object
-with no `rule`, such as a delegating proxy, and tests compare the two byte
-for byte.  All three read the aux stream alike: the values, in the order,
-that per-ball `decide` calls would read.  A subclass that changes `decide`
-states its `rule` anew, or sets it to None.
+A strategy states its rule once, as plain data: `rule`, a `core.RoundRule`
+(a cap on the bin's round count, a coin rate and the rounds they bind in),
+which the engine runs through one compiled per-ball loop and from which the
+base class derives `decide` (for `step` and the oracle), `accept_mask` (for
+the mask path a rule-less proxy takes) and `deterministic`.
 """
 
 from __future__ import annotations
@@ -30,17 +25,38 @@ from .theory import ell
 
 
 class Strategy:
-    """Base decision rule; subclasses set `name` and `rule`, and see the module docstring."""
+    """Base decision rule: a subclass sets `name` and `rule`, and the methods read the rule."""
 
     name = "strategy"
-    deterministic = True
-    rule: RoundRule | None = None
+    rule: RoundRule
+
+    @property
+    def deterministic(self) -> bool:
+        """Whether the rule takes no coin, so `decide` never reads the aux stream."""
+        return self.rule.beta is None
 
     def decide(self, i: int, bin_index: int, state, aux) -> bool:
-        raise NotImplementedError
+        """Accept the round-i offer of bin `bin_index`; one coin per ball in a binding round."""
+        rule = self.rule
+        if not rule.binds(i, state.d):
+            return True
+        permitted = rule.beta is None or aux.next() < rule.beta
+        return (not permitted or rule.cap is None
+                or int(state.round_loads[i - 1][bin_index]) <= rule.cap)
 
     def accept_mask(self, i: int, suggestions, aux):
-        raise NotImplementedError
+        """The round-i balls the rule accepts: a bin's first cap+1 offers, and coins >= beta.
+
+        The mask path asks only for rounds before the last, so round i binds
+        as it would in a process of i+1 rounds.
+        """
+        rule = self.rule
+        if not rule.binds(i, i + 1):
+            return np.ones(suggestions.size, dtype=bool)
+        coins = None if rule.beta is None else aux.take(suggestions.size)
+        mask = (np.ones(suggestions.size, dtype=bool) if rule.cap is None
+                else occurrence_rank(suggestions) <= rule.cap)
+        return mask if coins is None else mask | (coins >= rule.beta)
 
 
 class AlwaysAccept(Strategy):
@@ -48,12 +64,6 @@ class AlwaysAccept(Strategy):
 
     name = "always-accept"
     rule = RoundRule()
-
-    def decide(self, i, bin_index, state, aux):
-        return True
-
-    def accept_mask(self, i, suggestions, aux):
-        return np.ones(suggestions.size, dtype=bool)
 
 
 class ThresholdStrategy(Strategy):
@@ -72,15 +82,6 @@ class ThresholdStrategy(Strategy):
         self.rule = RoundRule(cap=self.cap)
         self.name = name
 
-    def decide(self, i, bin_index, state, aux):
-        if i == state.d:
-            return True
-        return int(state.round_loads[i - 1][bin_index]) <= self.cap
-
-    def accept_mask(self, i, suggestions, aux):
-        # a bin's first cap+1 round-i offers are accepted; every later one sees count > cap
-        return occurrence_rank(suggestions) <= self.cap
-
 
 class BetaThinning(Strategy):
     """Two-round baseline: rejection needs a permission coin of rate beta.
@@ -91,8 +92,6 @@ class BetaThinning(Strategy):
     beta near 1 approaches the two-thinning threshold strategy.
     """
 
-    deterministic = False
-
     def __init__(self, beta: float, cap: int):
         if not 0 <= beta < 1:
             raise ConfigError(f"beta must lie in [0, 1), got {beta}")
@@ -102,20 +101,6 @@ class BetaThinning(Strategy):
         self.cap = int(cap)
         self.rule = RoundRule(cap=self.cap, beta=self.beta, rounds=1)
         self.name = f"beta-thinning:beta={self.beta!r},cap={self.cap}"
-
-    def decide(self, i, bin_index, state, aux):
-        if i != 1:
-            return True
-        permitted = aux.next() < self.beta
-        if not permitted:
-            return True
-        return int(state.round_loads[0][bin_index]) <= self.cap
-
-    def accept_mask(self, i, suggestions, aux):
-        if i != 1:
-            return np.ones(suggestions.size, dtype=bool)
-        u = aux.take(suggestions.size)
-        return (occurrence_rank(suggestions) <= self.cap) | (u >= self.beta)
 
 
 def threshold_for(n: int, d: int) -> ThresholdStrategy:

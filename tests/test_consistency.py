@@ -9,13 +9,15 @@ the batched tables against a trial-by-trial run of the batched process.
 
 from collections import Counter
 
+import numpy as np
 import pytest
 
-from thinlab.core import (AUX_TAG, POOL_TAG, _aux_pool, _bin_pool, _generator,
-                          _result_from_state, _run_batch, _summary, make_pools,
+from thinlab.core import (AUX_TAG, POOL_TAG, ConfigError, RoundRule, _aux_pool, _bin_pool,
+                          _generator, _result_from_state, _run_batch, _summary, make_pools,
                           new_state, run_greedy_d_choice, run_trial, simulate_max_load_counts)
-from thinlab.oracle import compare_empirical, exact_distribution
-from thinlab.strategies import AlwaysAccept, BetaThinning, ThresholdStrategy, threshold_for
+from thinlab.oracle import compare_empirical, exact_distribution, multinomial_max_load_exact
+from thinlab.strategies import (AlwaysAccept, BetaThinning, Strategy, ThresholdStrategy,
+                                threshold_for)
 
 from test_core import reference_step_run
 from test_strategies import MaskOnly, counts_run
@@ -88,17 +90,50 @@ def naive_greedy_run(n, d, m, seed):
     return _result_from_state(state, f"greedy-{d}-choice", seed)
 
 
-def naive_batched_counts(n, d, m, cap, trials, seed, beta=None):
+def naive_rule_run(n, d, m, rule, pools, aux):
+    """A `RoundRule` run one ball at a time with lists, as its docstring states it.
+
+    Each ball meets rounds 1..d in turn and draws its round-i offer from
+    pool i, until a round accepts it.  In rounds 1..rounds before the last
+    (every round before the last if rounds is None) the ball reads one aux
+    coin if beta is set, and is accepted if cap is None, if its bin's count
+    in the round so far is at most cap, or if its coin is at least beta.
+    Other rounds accept it.  Returns the loads, the per-round counts,
+    r_1..r_d and the primaries.
+    """
+    loads = [0] * n
+    counts = [[0] * n for _ in range(d)]
+    reached = [0] * d
+    primaries = set()
+    for _ in range(m):
+        for i in range(1, d + 1):
+            b = pools[i - 1].next()
+            if i == 1:
+                primaries.add(b)
+            reached[i - 1] += 1
+            binds = i < d and (rule.rounds is None or i <= rule.rounds)
+            coin = aux.next() if binds and rule.beta is not None else None
+            if (not binds or rule.cap is None or counts[i - 1][b] <= rule.cap
+                    or (coin is not None and coin >= rule.beta)):
+                counts[i - 1][b] += 1
+                loads[b] += 1
+                break
+    return loads, counts, reached, primaries
+
+
+def naive_batched_counts(n, d, m, cap, trials, seed, beta=None, rounds=None):
     """Max-load table of the batched process, run trial by trial with dicts.
 
     Round 1 reads trials·m values of the batch stream, one trial after
     another; each later round reads one value per rejected ball, in (trial,
-    ball) order.  With beta set (beta-thinning), round 1 reads one aux coin
-    per ball in the same order, a coin >= beta forces acceptance, and later
-    rounds accept every ball.
+    ball) order.  The rule binds in rounds 1..rounds before the last (every
+    round before the last if rounds is None).  There, with beta set, each
+    ball reads one aux coin in the same order, and a ball is accepted if
+    cap is None, if its bin's count so far is at most cap, or if its coin is
+    >= beta.  Other rounds accept every ball.
     """
     rng = _generator(seed, POOL_TAG, 0)
-    coins = iter(_generator(seed, AUX_TAG).random(trials * m).tolist())
+    coins = iter(_generator(seed, AUX_TAG).random(trials * m * d).tolist())
     values = rng.integers(0, n, size=trials * m).tolist()
     offers = [values[t * m:(t + 1) * m] for t in range(trials)]
     loads = [{} for _ in range(trials)]
@@ -108,8 +143,9 @@ def naive_batched_counts(n, d, m, cap, trials, seed, beta=None):
             counts = {}
             rejected.append(0)
             for b in offers[t]:
-                forced = beta is not None and (i > 1 or next(coins) >= beta)
-                if i == d or forced or counts.get(b, 0) <= cap:
+                binds = i < d and (rounds is None or i <= rounds)
+                forced = binds and beta is not None and next(coins) >= beta
+                if not binds or forced or cap is None or counts.get(b, 0) <= cap:
                     counts[b] = counts.get(b, 0) + 1
                     loads[t][b] = loads[t].get(b, 0) + 1
                 else:
@@ -270,7 +306,8 @@ class TestRuleStream:
         beta = getattr(strat, "beta", None)
         cap = getattr(strat, "cap", m)
         assert simulate_max_load_counts(n, d, m, strat, trials, seed) == \
-            naive_batched_counts(n, d, m, cap, trials, seed, beta=beta)
+            naive_batched_counts(n, d, m, cap, trials, seed, beta=beta,
+                                 rounds=None if beta is None else 1)
         return loads, top
 
     @pytest.mark.parametrize("d", [1, 2, 3])
@@ -296,6 +333,78 @@ class TestRuleStream:
         assert result.max_load > 255 and max(result.round_load_max) > 255
         loads, top = self.check_batched(n, d, m, strat, trials=3, seed=95 + d)
         assert loads.max() > 255 and max(top) > 255
+
+
+def rule_strategy(round_rule):
+    """A bare `Strategy` subclass that sets only `name` and `rule`."""
+    class RuleOnly(Strategy):
+        name = "rule-only"
+        rule = round_rule
+    return RuleOnly()
+
+
+class TestRoundRuleGrid:
+    """Every `RoundRule`, run as a bare `Strategy`, gives one result on every path.
+
+    A single trial gives the same bytes from `run_trial` (the compiled
+    loop), the mask path (`MaskOnly`), `step` and `naive_rule_run`, and a
+    batch gives `naive_batched_counts`' table.  rounds=0, and rounds=2 at
+    d=3, are rules no built-in strategy reaches.  Where a coin binds in two
+    rounds that balls reach, the loop and the mask path read round 2's coins
+    after all of round 1's while `step` reads a ball's coins together, so
+    those two agree in law only; `step` still agrees with `naive_rule_run`,
+    which reads coins as it does, and the loop with `naive_batched_counts`.
+    """
+
+    RULES = [RoundRule(cap, beta, rounds) for cap in (None, 0, 1) for beta in (None, 0.4)
+             for rounds in (None, 0, 1, 2)]
+    IDS = [f"cap{r.cap}-beta{r.beta}-rounds{r.rounds}" for r in RULES]
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("rule", RULES, ids=IDS)
+    def test_single(self, rule, d):
+        strat = rule_strategy(rule)
+        coin_rounds = [i for i in range(1, d) if rule.rounds is None or i <= rule.rounds]
+        coin_order_differs = rule.beta is not None and rule.cap is not None and len(coin_rounds) > 1
+        for n, m, seed in ((1, 5, 1), (7, 40, 2), (60, 400, 3)):
+            result = run_trial(n, d, m, strat, seed)
+            assert run_trial(n, d, m, MaskOnly(strat), seed).to_json() == result.to_json()
+            state, _, _ = reference_step_run(n, d, m, strat, seed)
+            stepped = _result_from_state(state, strat.name, seed)
+            loads, counts, reached, primaries = naive_rule_run(n, d, m, rule,
+                                                               *make_pools(n, d, seed))
+            naive = _summary(np.array(loads), len(primaries), reached,
+                             [max(row) for row in counts], strat.name, seed)
+            assert stepped.to_json() == naive.to_json()
+            if not coin_order_differs:
+                assert result.to_json() == stepped.to_json()
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("rule", RULES, ids=IDS)
+    def test_batched(self, rule, d):
+        strat = rule_strategy(rule)
+        for n, m, trials in ((3, 4, 400), (5, 9, 200)):
+            seed = n + d
+            table = simulate_max_load_counts(n, d, m, strat, trials, seed)
+            assert simulate_max_load_counts(n, d, m, MaskOnly(strat), trials, seed) == table
+            assert table == naive_batched_counts(n, d, m, rule.cap, trials, seed,
+                                                 beta=rule.beta, rounds=rule.rounds)
+
+    def test_deterministic_iff_no_coin(self):
+        assert ThresholdStrategy(1.5).deterministic and AlwaysAccept().deterministic
+        assert not BetaThinning(0.5, 1).deterministic
+        for rule in self.RULES:
+            assert rule_strategy(rule).deterministic == (rule.beta is None)
+        with pytest.raises(ConfigError, match="randomized"):
+            exact_distribution(2, 2, 2, rule_strategy(RoundRule(cap=0, beta=0.4)))
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_rule_binding_in_no_round_is_one_choice(self, d):
+        strat = rule_strategy(RoundRule(cap=0, rounds=0))
+        assert exact_distribution(3, d, 3, strat).masses == multinomial_max_load_exact(3, 3)
+        result = run_trial(20, d, 60, strat, seed=5)
+        assert result.rejection_counters == (60,) + (0,) * (d - 1)
+        assert result.histogram == run_trial(20, d, 60, AlwaysAccept(), seed=5).histogram
 
 
 class TestEmptyRounds:

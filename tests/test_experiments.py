@@ -226,6 +226,18 @@ class TestGreedyDChoice:
                 run()
         assert not list(empty_cache.iterdir())
 
+    def test_build_removes_stale_libraries(self, empty_cache):
+        # a library of an earlier source goes; a concurrent builder's temporary stays
+        empty_cache.mkdir()
+        stale = empty_cache / "greedy-00000000.so"
+        building = empty_cache / "greedy-00000000.so.1-2.tmp"
+        stale.write_bytes(b"")
+        building.write_bytes(b"")
+        run_greedy_d_choice(10, 2, 10, 1)
+        assert not stale.exists() and building.exists()
+        library, = empty_cache.glob("greedy-*.so")
+        assert re.fullmatch(r"greedy-[0-9a-f]{8}\.so", library.name)
+
     def test_cached_library_runs_no_compiler(self, tmp_path):
         package = tmp_path / "thinlab"
         shutil.copytree(Path(core.__file__).parent, package,
