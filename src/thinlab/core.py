@@ -11,7 +11,8 @@ runs every round of the rule through one compiled per-ball loop (greedy.c),
 for a single trial and for a batch of trials alike: each round is streamed
 from its pool in 2¹⁶-value blocks into a one-byte round row and one-byte
 loads, so a trial holds two bytes per bin.  An object with no rule, such as
-a mask-only proxy, runs the whole-round mask path instead.
+a mask-only proxy, runs through the same loop, its mask of each whole round
+before the last standing in for the round's coins.
 
 Bins are indexed 0..n-1 and ball indices are 0-based throughout.
 
@@ -109,17 +110,16 @@ _pin_malloc_thresholds()
 def trial_int64s(n: int, d: int, m: int, strategy) -> int:
     """Estimated int64 values a trial of `strategy` holds at its peak; a batch's keys are bins.
 
-    With a round `rule` (`_run_rule`): two bytes per bin (the round row and
-    the loads, until a bin holds 255 balls and they widen), one partly
-    served 2¹⁶-value block in each of the d+1 pools and 2¹³ values to spare,
-    with nothing in m.  Without one (the mask kernel): three rows per bin,
-    at most nine m-length arrays while a round's balls are ranked (the take,
-    the coins, `occurrence_rank`'s order, sorted copy, two rank arrays, group
-    starts and lengths, and one to spare) and the d+1 pool blocks.
+    Two bytes per bin (the round row and the loads, until a bin holds 255
+    balls and they widen), one partly served 2¹⁶-value block in each of the
+    d+1 pools and 2¹³ values to spare.  With a round `rule` nothing grows
+    with m.  Without one, each round before the last is masked whole, which
+    adds eight m-length arrays: the take, the float coins and
+    `accept_mask`'s ranking arrays (`occurrence_rank`'s order, sorted copy,
+    group starts and lengths, and two rank arrays).
     """
-    if getattr(strategy, "rule", None) is not None:
-        return (2 * n + 7) // 8 + (d + 1) * _CHUNK + _CHUNK // 8
-    return 3 * n + 9 * m + (d + 1) * _CHUNK
+    int64s = (2 * n + 7) // 8 + (d + 1) * _CHUNK + _CHUNK // 8
+    return int64s if getattr(strategy, "rule", None) is not None else int64s + 8 * m
 
 
 def greedy_int64s(n: int, d: int) -> int:
@@ -361,34 +361,6 @@ def _result_from_state(state: AllocationState, name: str, seed: int) -> TrialRes
                     rounds.max(axis=1), name, seed)
 
 
-def _run_vectorized(strategy, trials: int, n: int, d: int, m: int, pools, aux):
-    """`_run_rule`'s results in numpy, for an object with no round `rule` (the mask path).
-
-    Each round takes its offers at once, as keys trial·n + bin in (trial,
-    ball) order, and counts per key the balls the strategy's sequential
-    `accept_mask` accepts (every ball in round d).  Round 1's accepted
-    counts become the loads and each later round's are added into them;
-    each round's largest accepted count is kept, 0 for a round with no
-    offers.  Only each trial's rejected count, `waiting`, carries over.
-    """
-    keys = trials * n
-    waiting = np.full(trials, m)
-    rejection_counters, round_load_max = [], []
-    for i in range(1, d + 1):
-        current = pools[i - 1].take(int(waiting.sum()))
-        current += np.arange(0, keys, n).repeat(waiting)
-        rejection_counters.append(current.size)
-        if i == 1:
-            psi_count = np.count_nonzero(np.bincount(current, minlength=keys))
-        if i < d:
-            current = current[strategy.accept_mask(i, current, aux)]
-        accepted = np.bincount(current, minlength=keys)
-        loads = accepted if i == 1 else loads + accepted
-        round_load_max.append(accepted.max(initial=0))
-        waiting -= accepted.reshape(trials, n).sum(axis=1)
-    return loads, psi_count, rejection_counters, round_load_max
-
-
 @dataclass(frozen=True)
 class RoundRule:
     """A strategy's round rule, as plain data: the compiled loop runs it and `Strategy` reads it.
@@ -396,32 +368,40 @@ class RoundRule:
     In the rounds it binds in (`binds`), a ball is accepted if its bin's
     count in the round so far is at most cap (at least 0), or if its coin,
     one aux value per ball in ball order, is at least beta.  cap None
-    accepts every ball and beta None takes no coin.  Other rounds accept
-    every ball and take no coin.  The loop reads a round's coins after the
-    round before's, `step` a ball's coins in turn: where a coin binds in two
-    rounds, the two agree in law, not in bytes.
+    accepts every ball and beta None takes no coin; a coin binds in round 1
+    only (rounds 1).  Other rounds accept every ball and take no coin.
     """
 
     cap: int | None = None
     beta: float | None = None
     rounds: int | None = None
 
+    def __post_init__(self):
+        if self.cap is not None and self.cap < 0:
+            raise ConfigError(f"cap must be >= 0, got {self.cap}")
+        if self.beta is not None and self.rounds != 1:
+            raise ConfigError(f"a coin binds in round 1 only, got rounds={self.rounds}")
+
     def binds(self, i: int, d: int) -> bool:
         """Round i of d binds if it is before the last and in 1..rounds (any, if rounds is None)."""
         return i < d and (self.rounds is None or i <= self.rounds)
 
 
-def _run_rule(strategy, trials: int, n: int, d: int, m: int, pools, aux):
+def _run(strategy, trials: int, n: int, d: int, m: int, pools, aux):
     """The loads, ψ, r_1..r_d and each round's largest accepted count of trials of n bins.
 
     Trial t's bin b is key t·n + b.  Each round streams its offers from its
     pool in 2¹⁶-value blocks, in (trial, ball) order, through greedy.c's
     per-ball loop, which counts each accepted ball in a one-byte round row
     and in one-byte loads per key; both widen to int64, once, before a load
-    could pass 255.  ψ is the round-1 row's nonzero count: a bin's first
-    round-1 offer is always accepted.
+    could pass 255.  An object with no `rule` takes each round before the
+    last whole, as keys made and unmade in place, and its `accept_mask` of
+    the keys is the round's coins: with cap -1 and beta 0.5 a ball is
+    accepted exactly where the mask is set.  ψ is the round-1 row's nonzero
+    count: a bin's first round-1 offer is always accepted, since no rule's
+    cap is below 0.
     """
-    rule, lib = strategy.rule, _kernels()
+    rule, lib = getattr(strategy, "rule", None), _kernels()
     thin = lib.thin_narrow
     row, loads = np.zeros(trials * n, np.uint8), np.zeros(trials * n, np.uint8)
     tally = np.zeros(2 + 2 * trials, np.int64)  # greedy.c's position and per-trial counts
@@ -430,13 +410,22 @@ def _run_rule(strategy, trials: int, n: int, d: int, m: int, pools, aux):
     addresses = row.ctypes.data, loads.ctypes.data, tally.ctypes.data  # each takes µs to look up
     rejection_counters, round_load_max = [], []
     for i in range(1, d + 1):
-        binds = rule.binds(i, d)
-        cap = min(rule.cap, 2**63 - 1) if binds and rule.cap is not None else 2**63 - 1
-        beta = rule.beta if binds else None
-        rejection_counters.append(int(waiting.sum()))
-        for start in range(0, rejection_counters[-1], _CHUNK):
-            bins = pools[i - 1].take(min(_CHUNK, rejection_counters[-1] - start))
-            coins = None if beta is None else aux.take(bins.size)
+        reached = int(waiting.sum())
+        rejection_counters.append(reached)
+        masked = rule is None and i < d
+        cap, beta, block = 2**63 - 1, None, _CHUNK
+        if masked:
+            cap, beta, block = -1, 0.5, max(reached, 1)
+        elif rule is not None and rule.binds(i, d):
+            cap, beta = cap if rule.cap is None else min(rule.cap, cap), rule.beta
+        for start in range(0, reached, block):
+            bins = pools[i - 1].take(min(block, reached - start))
+            if masked:
+                bins += np.arange(0, trials * n, n).repeat(waiting)
+                coins = strategy.accept_mask(i, bins, aux).astype(np.float64)
+                bins %= n
+            else:
+                coins = None if beta is None else aux.take(bins.size)
             placed = 0
             while True:
                 placed += thin(*addresses[:2], bins.ctypes.data + 8 * placed,
@@ -453,12 +442,6 @@ def _run_rule(strategy, trials: int, n: int, d: int, m: int, pools, aux):
         if i < d:
             row[:], at[:], waiting[:], rejected[:] = 0, (-1, 0), rejected, 0
     return loads, psi_count, rejection_counters, round_load_max
-
-
-def _run(strategy, trials: int, n: int, d: int, m: int, pools, aux):
-    """`_run_rule` for a strategy with a round `rule`, else `_run_vectorized`."""
-    run = _run_vectorized if getattr(strategy, "rule", None) is None else _run_rule
-    return run(strategy, trials, n, d, m, pools, aux)
 
 
 def run_trial(n: int, d: int, m: int, strategy, seed: int) -> TrialResult:

@@ -10,8 +10,8 @@ construction and safe to share across trials.
 A strategy states its rule once, as plain data: `rule`, a `core.RoundRule`
 (a cap on the bin's round count, a coin rate and the rounds they bind in),
 which the engine runs through one compiled per-ball loop and from which the
-base class derives `decide` (for `step` and the oracle), `accept_mask` (for
-the mask path a rule-less proxy takes) and `deterministic`.
+base class derives `decide` (for `step` and the oracle), `accept_mask` (the
+coins of that loop's rounds for a rule-less proxy) and `deterministic`.
 """
 
 from __future__ import annotations
@@ -47,8 +47,8 @@ class Strategy:
     def accept_mask(self, i: int, suggestions, aux):
         """The round-i balls the rule accepts: a bin's first cap+1 offers, and coins >= beta.
 
-        The mask path asks only for rounds before the last, so round i binds
-        as it would in a process of i+1 rounds.
+        The engine asks a rule-less proxy only for rounds before the last,
+        so round i binds as it would in a process of i+1 rounds.
         """
         rule = self.rule
         if not rule.binds(i, i + 1):
@@ -95,8 +95,6 @@ class BetaThinning(Strategy):
     def __init__(self, beta: float, cap: int):
         if not 0 <= beta < 1:
             raise ConfigError(f"beta must lie in [0, 1), got {beta}")
-        if cap < 0:
-            raise ConfigError(f"cap must be >= 0, got {cap}")
         self.beta = float(beta)
         self.cap = int(cap)
         self.rule = RoundRule(cap=self.cap, beta=self.beta, rounds=1)

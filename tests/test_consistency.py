@@ -280,7 +280,8 @@ class TestRuleStream:
     A single trial is checked against `counts_run` and `step`, a batch
     against `counts_run` and `naive_batched_counts`.  The last cases put
     bins past 255 balls in the rows and the loads, so the one-byte counts
-    widen, and their batches span two 2**16-value blocks.
+    widen, and their batches span two 2**16-value blocks; there the mask
+    path (`MaskOnly`) widens too, to the bare strategy's result and table.
     """
 
     STRATEGIES = [ThresholdStrategy(0.5), ThresholdStrategy(1.5), AlwaysAccept(),
@@ -331,8 +332,11 @@ class TestRuleStream:
         n, m = 100, 3 * 10**4
         result = self.check_single(n, d, m, strat, seed=90 + d)
         assert result.max_load > 255 and max(result.round_load_max) > 255
+        assert run_trial(n, d, m, MaskOnly(strat), seed=90 + d) == result
         loads, top = self.check_batched(n, d, m, strat, trials=3, seed=95 + d)
         assert loads.max() > 255 and max(top) > 255
+        assert simulate_max_load_counts(n, d, m, MaskOnly(strat), 3, seed=95 + d) == \
+            simulate_max_load_counts(n, d, m, strat, 3, seed=95 + d)
 
 
 def rule_strategy(round_rule):
@@ -349,39 +353,49 @@ class TestRoundRuleGrid:
     A single trial gives the same bytes from `run_trial` (the compiled
     loop), the mask path (`MaskOnly`), `step` and `naive_rule_run`, and a
     batch gives `naive_batched_counts`' table.  rounds=0, and rounds=2 at
-    d=3, are rules no built-in strategy reaches.  Where a coin binds in two
-    rounds that balls reach, the loop and the mask path read round 2's coins
-    after all of round 1's while `step` reads a ball's coins together, so
-    those two agree in law only; `step` still agrees with `naive_rule_run`,
-    which reads coins as it does, and the loop with `naive_batched_counts`.
+    d=3, are rules no built-in strategy reaches.  A coin binds in round 1
+    only, so the grid's cells with beta set and rounds other than 1 check
+    that `RoundRule` refuses them.
     """
 
-    RULES = [RoundRule(cap, beta, rounds) for cap in (None, 0, 1) for beta in (None, 0.4)
-             for rounds in (None, 0, 1, 2)]
-    IDS = [f"cap{r.cap}-beta{r.beta}-rounds{r.rounds}" for r in RULES]
+    GRID = [(cap, beta, rounds) for cap in (None, 0, 1) for beta in (None, 0.4)
+            for rounds in (None, 0, 1, 2)]
+    IDS = [f"cap{cap}-beta{beta}-rounds{rounds}" for cap, beta, rounds in GRID]
+    RULES = [RoundRule(*cell) for cell in GRID if cell[1] is None or cell[2] == 1]
+
+    @staticmethod
+    def rule_or_refusal(cap, beta, rounds):
+        """The cell's rule, or None once its refusal is checked."""
+        if beta is not None and rounds != 1:
+            with pytest.raises(ConfigError, match="round 1 only"):
+                RoundRule(cap, beta, rounds)
+            return None
+        return RoundRule(cap, beta, rounds)
 
     @pytest.mark.parametrize("d", [1, 2, 3])
-    @pytest.mark.parametrize("rule", RULES, ids=IDS)
-    def test_single(self, rule, d):
+    @pytest.mark.parametrize("cell", GRID, ids=IDS)
+    def test_single(self, cell, d):
+        rule = self.rule_or_refusal(*cell)
+        if rule is None:
+            return
         strat = rule_strategy(rule)
-        coin_rounds = [i for i in range(1, d) if rule.rounds is None or i <= rule.rounds]
-        coin_order_differs = rule.beta is not None and rule.cap is not None and len(coin_rounds) > 1
         for n, m, seed in ((1, 5, 1), (7, 40, 2), (60, 400, 3)):
             result = run_trial(n, d, m, strat, seed)
             assert run_trial(n, d, m, MaskOnly(strat), seed).to_json() == result.to_json()
             state, _, _ = reference_step_run(n, d, m, strat, seed)
-            stepped = _result_from_state(state, strat.name, seed)
+            assert _result_from_state(state, strat.name, seed).to_json() == result.to_json()
             loads, counts, reached, primaries = naive_rule_run(n, d, m, rule,
                                                                *make_pools(n, d, seed))
             naive = _summary(np.array(loads), len(primaries), reached,
                              [max(row) for row in counts], strat.name, seed)
-            assert stepped.to_json() == naive.to_json()
-            if not coin_order_differs:
-                assert result.to_json() == stepped.to_json()
+            assert naive.to_json() == result.to_json()
 
     @pytest.mark.parametrize("d", [1, 2, 3])
-    @pytest.mark.parametrize("rule", RULES, ids=IDS)
-    def test_batched(self, rule, d):
+    @pytest.mark.parametrize("cell", GRID, ids=IDS)
+    def test_batched(self, cell, d):
+        rule = self.rule_or_refusal(*cell)
+        if rule is None:
+            return
         strat = rule_strategy(rule)
         for n, m, trials in ((3, 4, 400), (5, 9, 200)):
             seed = n + d
@@ -396,7 +410,13 @@ class TestRoundRuleGrid:
         for rule in self.RULES:
             assert rule_strategy(rule).deterministic == (rule.beta is None)
         with pytest.raises(ConfigError, match="randomized"):
-            exact_distribution(2, 2, 2, rule_strategy(RoundRule(cap=0, beta=0.4)))
+            exact_distribution(2, 2, 2, rule_strategy(RoundRule(cap=0, beta=0.4, rounds=1)))
+
+    @pytest.mark.parametrize("beta,rounds", [(None, None), (None, 1), (0.4, 1)])
+    def test_refuses_negative_cap(self, beta, rounds):
+        # cap -1 would reject a bin's first offer, and ψ counts round 1's accepted bins
+        with pytest.raises(ConfigError, match="cap must be >= 0, got -1"):
+            RoundRule(cap=-1, beta=beta, rounds=rounds)
 
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_rule_binding_in_no_round_is_one_choice(self, d):

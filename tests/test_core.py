@@ -478,7 +478,7 @@ def traced_peak(run) -> int:
 class TestMemoryEstimates:
     """Each estimate bounds the allocation peak of the run it refuses.
 
-    Cap 0 is the mask kernel's worst case: nearly every ball in a round is
+    Cap 0 is the mask path's worst case: nearly every ball in a round is
     ranked.
     """
 
@@ -534,10 +534,7 @@ class TestMemoryEstimates:
 
 
 class TestTrialPeak:
-    """A rule trial holds two one-byte rows and a few pool blocks.
-
-    That is less than the three rows `trial_int64s` budgets for the mask kernel.
-    """
+    """A rule trial holds two one-byte rows and a few pool blocks, less than three int64 rows."""
 
     def test_threshold_trial_at_a_million_bins(self):
         n = 10**6

@@ -177,7 +177,7 @@ class MaskOnly:
 
 
 class TestMaskOnlyStrategy:
-    """An object without a `rule` runs through the mask kernel, to the same bytes."""
+    """An object without a `rule` runs the compiled loop on its masks as coins, to the same bytes."""
 
     STRATEGIES = [ThresholdStrategy(0.5), ThresholdStrategy(1.5), AlwaysAccept(),
                   BetaThinning(0.5, 0), BetaThinning(0.9, 1)]
@@ -196,6 +196,22 @@ class TestMaskOnlyStrategy:
         for n, m, trials in ((3, 4, 2000), (5, 9, 300)):
             wrapped = simulate_max_load_counts(n, d, m, MaskOnly(strat), trials, seed=4)
             assert wrapped == simulate_max_load_counts(n, d, m, strat, trials, seed=4)
+
+    def test_mask_rejecting_first_offers(self):
+        # no RoundRule rejects a bin's first offer in a round; this mask rejects all of round 2
+        class SkipRoundTwo(MaskOnly):
+            def decide(self, i, bin_index, state, aux):
+                return i != 2 and super().decide(i, bin_index, state, aux)
+
+            def accept_mask(self, i, suggestions, aux):
+                return super().accept_mask(i, suggestions, aux) & (i != 2)
+
+        strat = SkipRoundTwo(ThresholdStrategy(0.5))
+        for n, m, seed in ((7, 40, 2), (500, 1500, 3)):
+            result = run_trial(n, 3, m, strat, seed)
+            state, _, _ = reference_step_run(n, 3, m, strat, seed)
+            assert result == _result_from_state(state, strat.name, seed)
+            assert result.rejection_counters[1] == result.rejection_counters[2] > 0
 
 
 class TestBetaThinning:
