@@ -77,6 +77,12 @@ _M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3  # glibc's mallopt parameters
 _MALLOC_ENV = ("MALLOC_MMAP_THRESHOLD_", "MALLOC_TRIM_THRESHOLD_")
 
 
+def _environment_sets_malloc_thresholds() -> bool:
+    """Whether a variable or a glibc tunable in the environment sets a malloc threshold."""
+    return (any(k in os.environ for k in _MALLOC_ENV)
+            or "threshold" in os.environ.get("GLIBC_TUNABLES", ""))
+
+
 def _pin_malloc_thresholds() -> None:
     """Pin glibc's mmap threshold at two pool blocks (1 MiB) and its trim threshold at 2 MiB.
 
@@ -92,8 +98,7 @@ def _pin_malloc_thresholds() -> None:
     Nothing changes where the environment sets either threshold, or where
     the C library has no `mallopt`.
     """
-    tunables = os.environ.get("GLIBC_TUNABLES", "")
-    if any(k in os.environ for k in _MALLOC_ENV) or "threshold" in tunables:
+    if _environment_sets_malloc_thresholds():
         return
     try:
         mallopt = ctypes.CDLL(None).mallopt
@@ -113,10 +118,10 @@ def trial_int64s(n: int, d: int, m: int, strategy) -> int:
     Two bytes per bin (the round row and the loads, until a bin holds 255
     balls and they widen), one partly served 2¹⁶-value block in each of the
     d+1 pools and 2¹³ values to spare.  With a round `rule` nothing grows
-    with m.  Without one, each round before the last is masked whole, which
-    adds eight m-length arrays: the take, the float coins and
-    `accept_mask`'s ranking arrays (`occurrence_rank`'s order, sorted copy,
-    group starts and lengths, and two rank arrays).
+    with m.  Without one (a single trial only), each round before the last
+    is masked whole, which adds eight m-length arrays: the take, the float
+    coins and `accept_mask`'s ranking arrays (`occurrence_rank`'s order,
+    sorted copy, group starts and lengths, and two rank arrays).
     """
     int64s = (2 * n + 7) // 8 + (d + 1) * _CHUNK + _CHUNK // 8
     return int64s if getattr(strategy, "rule", None) is not None else int64s + 8 * m
@@ -355,10 +360,10 @@ def _result_from_state(state: AllocationState, name: str, seed: int) -> TrialRes
     The loads are round_loads' column sums, and r_i is the number of balls
     accepted in rounds i..d: the row totals summed from the last row back.
     """
-    rounds = state.round_loads
-    r = rounds.sum(axis=1)[::-1].cumsum()[::-1]
-    return _summary(rounds.sum(axis=0), np.count_nonzero(state.psi_seen), r,
-                    rounds.max(axis=1), name, seed)
+    counts = state.round_loads
+    r = counts.sum(axis=1)[::-1].cumsum()[::-1]
+    return _summary(counts.sum(axis=0), np.count_nonzero(state.psi_seen), r,
+                    counts.max(axis=1), name, seed)
 
 
 @dataclass(frozen=True)
@@ -368,23 +373,20 @@ class RoundRule:
     In the rounds it binds in (`binds`), a ball is accepted if its bin's
     count in the round so far is at most cap (at least 0), or if its coin,
     one aux value per ball in ball order, is at least beta.  cap None
-    accepts every ball and beta None takes no coin; a coin binds in round 1
-    only (rounds 1).  Other rounds accept every ball and take no coin.
+    accepts every ball and beta None takes no coin.  Other rounds accept
+    every ball and take no coin.
     """
 
     cap: int | None = None
     beta: float | None = None
-    rounds: int | None = None
 
     def __post_init__(self):
         if self.cap is not None and self.cap < 0:
             raise ConfigError(f"cap must be >= 0, got {self.cap}")
-        if self.beta is not None and self.rounds != 1:
-            raise ConfigError(f"a coin binds in round 1 only, got rounds={self.rounds}")
 
     def binds(self, i: int, d: int) -> bool:
-        """Round i of d binds if it is before the last and in 1..rounds (any, if rounds is None)."""
-        return i < d and (self.rounds is None or i <= self.rounds)
+        """Round i of d binds if it is before the last, and is round 1 for a rule with a coin."""
+        return i < d and (self.beta is None or i == 1)
 
 
 def _run(strategy, trials: int, n: int, d: int, m: int, pools, aux):
@@ -394,12 +396,13 @@ def _run(strategy, trials: int, n: int, d: int, m: int, pools, aux):
     pool in 2¹⁶-value blocks, in (trial, ball) order, through greedy.c's
     per-ball loop, which counts each accepted ball in a one-byte round row
     and in one-byte loads per key; both widen to int64, once, before a load
-    could pass 255.  An object with no `rule` takes each round before the
-    last whole, as keys made and unmade in place, and its `accept_mask` of
-    the keys is the round's coins: with cap -1 and beta 0.5 a ball is
-    accepted exactly where the mask is set.  ψ is the round-1 row's nonzero
-    count: a bin's first round-1 offer is always accepted, since no rule's
-    cap is below 0.
+    could pass 255.  ψ is the round-1 row's nonzero count: a bin's first
+    round-1 offer is always accepted, since no rule's cap is below 0.  An
+    object with no `rule` runs one trial, whose keys are its bins: it takes
+    each round before the last whole, and its `accept_mask` is the round's
+    coins, so that with cap -1 and beta 0.5 a ball is accepted exactly where
+    the mask is set.  Its ψ counts round 1's offers, flagged in the empty
+    row, since a mask may reject a bin's first offer.
     """
     rule, lib = getattr(strategy, "rule", None), _kernels()
     thin = lib.thin_narrow
@@ -408,7 +411,7 @@ def _run(strategy, trials: int, n: int, d: int, m: int, pools, aux):
     at, waiting, rejected = tally[:2], tally[2:2 + trials], tally[2 + trials:]
     at[0], waiting[:] = -1, m
     addresses = row.ctypes.data, loads.ctypes.data, tally.ctypes.data  # each takes µs to look up
-    rejection_counters, round_load_max = [], []
+    rejection_counters, round_load_max, psi_count = [], [], 0
     for i in range(1, d + 1):
         reached = int(waiting.sum())
         rejection_counters.append(reached)
@@ -421,9 +424,10 @@ def _run(strategy, trials: int, n: int, d: int, m: int, pools, aux):
         for start in range(0, reached, block):
             bins = pools[i - 1].take(min(block, reached - start))
             if masked:
-                bins += np.arange(0, trials * n, n).repeat(waiting)
                 coins = strategy.accept_mask(i, bins, aux).astype(np.float64)
-                bins %= n
+                if i == 1:  # a mask may reject a bin's first offer: flag the offers in the row
+                    row[bins] = 1
+                    psi_count, row[:] = np.count_nonzero(row), 0
             else:
                 coins = None if beta is None else aux.take(bins.size)
             placed = 0
@@ -436,7 +440,7 @@ def _run(strategy, trials: int, n: int, d: int, m: int, pools, aux):
                 row, loads, thin = row.astype(np.int64), loads.astype(np.int64), lib.thin_wide
                 addresses = row.ctypes.data, loads.ctypes.data, tally.ctypes.data
             del bins, coins  # so that no block is held while the next one is drawn
-        if i == 1:
+        if i == 1 and not masked:
             psi_count = np.count_nonzero(row)
         round_load_max.append(row.max())
         if i < d:
@@ -558,11 +562,14 @@ def simulate_max_load_counts(n: int, d: int, m: int, strategy, trials: int,
     runs every trial on a state of trials·n bins, trial t's at keys t·n +
     bin.  Every round reads the one stream SeedSequence((seed, POOL_TAG, 0)):
     round 1 takes trials·m values, trial after trial, and each later round
-    one per rejected ball, in (trial, ball) order.
+    one per rejected ball, in (trial, ball) order.  The strategy must state
+    a round `rule`; an object without one runs only through `run_trial`.
     """
     check_sizes(n, d, m, seed)
     if trials < 1:
         raise ConfigError(f"trial count must be >= 1, got {trials}")
+    if getattr(strategy, "rule", None) is None:
+        raise ConfigError(f"strategy {strategy.name!r} has no round rule, so it cannot run batched")
     # the batch also keeps each trial's rejected count and what it offers next
     require_memory(trial_int64s(trials * n, d, trials * m, strategy) + 2 * trials,
                    f"{trials} batched trials with n={n}, d={d}, m={m}")

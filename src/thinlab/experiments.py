@@ -45,6 +45,8 @@ class ExperimentConfig:
             raise ConfigError(f"trials must be >= 1, got {self.trials}")
         if self.threads < 1:
             raise ConfigError(f"threads must be >= 1, got {self.threads}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.fmt not in ("csv", "json", "plotdata"):
             raise ConfigError(f"unknown output format {self.fmt!r}")
         return self

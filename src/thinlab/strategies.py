@@ -8,10 +8,12 @@ never consults the strategy there.  Strategies are immutable after
 construction and safe to share across trials.
 
 A strategy states its rule once, as plain data: `rule`, a `core.RoundRule`
-(a cap on the bin's round count, a coin rate and the rounds they bind in),
-which the engine runs through one compiled per-ball loop and from which the
-base class derives `decide` (for `step` and the oracle), `accept_mask` (the
-coins of that loop's rounds for a rule-less proxy) and `deterministic`.
+(a cap on the bin's round count in every round before the last, and an
+optional coin rate, with which the rule binds in round 1 only), which the
+engine runs through one compiled per-ball loop and from which the base
+class derives `decide` (for `step` and the oracle), `accept_mask` (the
+coins of that loop's rounds in a rule-less proxy's trial) and
+`deterministic`.
 """
 
 from __future__ import annotations
@@ -75,8 +77,8 @@ class ThresholdStrategy(Strategy):
     """
 
     def __init__(self, ell_value: float, name: str = "threshold"):
-        if ell_value <= 0:
-            raise ConfigError(f"threshold parameter must be positive, got {ell_value}")
+        if not 0 < ell_value < math.inf:
+            raise ConfigError(f"threshold parameter must be positive and finite, got {ell_value}")
         self.ell = float(ell_value)
         self.cap = math.floor(self.ell)
         self.rule = RoundRule(cap=self.cap)
@@ -97,7 +99,7 @@ class BetaThinning(Strategy):
             raise ConfigError(f"beta must lie in [0, 1), got {beta}")
         self.beta = float(beta)
         self.cap = int(cap)
-        self.rule = RoundRule(cap=self.cap, beta=self.beta, rounds=1)
+        self.rule = RoundRule(cap=self.cap, beta=self.beta)
         self.name = f"beta-thinning:beta={self.beta!r},cap={self.cap}"
 
 

@@ -94,6 +94,29 @@ class TestRunCommand:
         assert run_cli(command, size, "10", "--d", "0") == 2
         assert "thinning depth must be >= 1, got 0" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command,size,seed", [("run", "--n", "-1"),
+                                                   ("sweep", "--n-grid", "-5")],
+                             ids=["run", "sweep"])
+    def test_negative_seed_message(self, tmp_path, capsys, command, size, seed):
+        out = tmp_path / "out.csv"
+        assert run_cli(command, size, "100", "--d", "2", "--seed", seed, "--trials", "2",
+                       "--out", str(out)) == 2
+        assert f"seed must be >= 0, got {seed}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_negative_seed_in_config_file(self, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"n": 100, "seed": -1, "trials": 2}))
+        assert run_cli("run", "--config", str(config)) == 2
+        assert "seed must be >= 0, got -1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("spec", ["threshold:ell=inf", "threshold:ell=nan",
+                                      "threshold-scaled:c=inf"])
+    def test_non_finite_threshold_message(self, capsys, spec):
+        assert run_cli("run", "--n", "100", "--d", "2", "--strategy", spec,
+                       "--trials", "2") == 2
+        assert "threshold parameter must be positive and finite" in capsys.readouterr().err
+
     def test_unwritable_out_exit_code(self, tmp_path):
         out = tmp_path / "no-such-dir" / "run.csv"
         assert run_cli("run", "--n", "50", "--trials", "1",

@@ -561,7 +561,7 @@ def resident_bytes() -> int:
 
 
 @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="thinlab pins glibc's malloc")
-@pytest.mark.skipif(any(k in os.environ for k in core._MALLOC_ENV + ("GLIBC_TUNABLES",)),
+@pytest.mark.skipif(core._environment_sets_malloc_thresholds(),
                     reason="the environment sets malloc's thresholds")
 class TestFreedMemory:
     """Freed arrays of 1 MiB or more leave the process, whichever thread frees them."""

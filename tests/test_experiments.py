@@ -116,6 +116,14 @@ class TestRunExperiment:
         with pytest.raises(ConfigError, match="bin count"):
             run_experiment(self.config(n=-5, strategy="always-accept"))
 
+    def test_negative_seed(self):
+        # refused before any trial runs, with the allocators' message
+        with pytest.raises(ConfigError, match="seed must be >= 0, got -1"):
+            run_experiment(self.config(seed=-1))
+        with pytest.raises(ConfigError, match="seed must be >= 0, got -5"):
+            sweep(ExperimentConfig(d=2, rho="1", strategy="threshold", trials=1,
+                                   seed=-5, n_grid=(10, 20)))
+
     def test_zero_depth_uses_the_engine_check(self):
         with pytest.raises(ConfigError, match="thinning depth must be >= 1, got 0"):
             run_experiment(self.config(d=0))

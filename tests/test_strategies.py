@@ -1,6 +1,7 @@
 """Decision-rule tests: threshold semantics, baselines, parsing."""
 
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -186,16 +187,15 @@ class TestMaskOnlyStrategy:
     @pytest.mark.parametrize("d", [1, 2, 3])
     @pytest.mark.parametrize("strat", STRATEGIES, ids=IDS)
     def test_trial_matches_bare_strategy(self, strat, d):
-        for n, m, seed in ((1, 5, 1), (7, 40, 2), (500, 1500, 3)):
+        for n, m, seed in ((1, 5, 1), (7, 40, 2), (500, 1500, 3), (3, 0, 4)):
             wrapped = run_trial(n, d, m, MaskOnly(strat), seed)
             assert wrapped.to_json() == run_trial(n, d, m, strat, seed).to_json()
 
     @pytest.mark.parametrize("d", [1, 2, 3])
     @pytest.mark.parametrize("strat", STRATEGIES, ids=IDS)
-    def test_batched_table_matches_bare_strategy(self, strat, d):
-        for n, m, trials in ((3, 4, 2000), (5, 9, 300)):
-            wrapped = simulate_max_load_counts(n, d, m, MaskOnly(strat), trials, seed=4)
-            assert wrapped == simulate_max_load_counts(n, d, m, strat, trials, seed=4)
+    def test_batched_run_is_refused(self, strat, d):
+        with pytest.raises(ConfigError, match=f"strategy {re.escape(repr(strat.name))} has no"):
+            simulate_max_load_counts(3, d, 4, MaskOnly(strat), 300, seed=4)
 
     def test_mask_rejecting_first_offers(self):
         # no RoundRule rejects a bin's first offer in a round; this mask rejects all of round 2
@@ -212,6 +212,22 @@ class TestMaskOnlyStrategy:
             state, _, _ = reference_step_run(n, 3, m, strat, seed)
             assert result == _result_from_state(state, strat.name, seed)
             assert result.rejection_counters[1] == result.rejection_counters[2] > 0
+
+    def test_mask_rejecting_a_bins_first_primary(self):
+        # this mask rejects all of round 1, yet ψ counts every bin offered as a primary
+        class SkipRoundOne(MaskOnly):
+            def decide(self, i, bin_index, state, aux):
+                return i != 1 and super().decide(i, bin_index, state, aux)
+
+            def accept_mask(self, i, suggestions, aux):
+                return super().accept_mask(i, suggestions, aux) & (i != 1)
+
+        strat = SkipRoundOne(ThresholdStrategy(0.5))
+        for n, m, seed in ((7, 40, 2), (500, 1500, 3)):
+            result = run_trial(n, 2, m, strat, seed)
+            state, _, _ = reference_step_run(n, 2, m, strat, seed)
+            assert result == _result_from_state(state, strat.name, seed)
+            assert result.rejection_counters == (m, m) and result.psi > 0
 
 
 class TestBetaThinning:
@@ -375,6 +391,13 @@ class TestMakeStrategy:
             make_strategy("threshold:junk=1", 100, 2)
         with pytest.raises(ConfigError):
             make_strategy("threshold-scaled:c", 100, 2)
+
+    @pytest.mark.parametrize("spec", ["threshold:ell=inf", "threshold:ell=-inf",
+                                      "threshold:ell=nan", "threshold-scaled:c=inf",
+                                      "threshold-scaled:c=nan"])
+    def test_refuses_non_finite_ell(self, spec):
+        with pytest.raises(ConfigError, match="must be positive"):
+            make_strategy(spec, 100, 2)
 
     def test_strategy_objects_reusable_across_trials(self):
         strat = make_strategy("threshold:ell=1.5", 10, 2)
