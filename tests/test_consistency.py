@@ -15,7 +15,7 @@ import pytest
 from thinlab.core import (AUX_TAG, POOL_TAG, ConfigError, RoundRule, _aux_pool, _bin_pool,
                           _generator, _result_from_state, _run_batch, _summary, make_pools,
                           new_state, run_greedy_d_choice, run_trial, simulate_max_load_counts)
-from thinlab.oracle import compare_empirical, exact_distribution
+from thinlab.oracle import compare_empirical, exact_distribution, multinomial_max_load_exact
 from thinlab.strategies import (AlwaysAccept, BetaThinning, Strategy, ThresholdStrategy,
                                 threshold_for)
 
@@ -90,16 +90,16 @@ def naive_greedy_run(n, d, m, seed):
     return _result_from_state(state, f"greedy-{d}-choice", seed)
 
 
-def naive_rule_run(n, d, m, rule, pools, aux):
-    """A `RoundRule` run one ball at a time with lists, as its docstring states it.
+def naive_rule_run(n, d, m, cap, beta, rounds, pools, aux):
+    """A round rule run one ball at a time with lists, as `RoundRule`'s docstring states it.
 
     Each ball meets rounds 1..d in turn and draws its round-i offer from
-    pool i, until a round accepts it.  The rule binds in every round before
-    the last if beta is None, and in round 1 (if d > 1) if beta is set.
-    There the ball reads one aux coin if beta is set, and is accepted if cap
-    is None, if its bin's count in the round so far is at most cap, or if
-    its coin is at least beta.  Other rounds accept it.  Returns the loads,
-    the per-round counts, r_1..r_d and the primaries.
+    pool i, until a round accepts it.  In rounds 1..rounds before the last
+    (every round before the last if rounds is None) the ball reads one aux
+    coin if beta is set, and is accepted if cap is None, if its bin's count
+    in the round so far is at most cap, or if its coin is at least beta.
+    Other rounds accept it.  Returns the loads, the per-round counts,
+    r_1..r_d and the primaries.
     """
     loads = [0] * n
     counts = [[0] * n for _ in range(d)]
@@ -111,26 +111,26 @@ def naive_rule_run(n, d, m, rule, pools, aux):
             if i == 1:
                 primaries.add(b)
             reached[i - 1] += 1
-            binds = i < d and (rule.beta is None or i == 1)
-            coin = aux.next() if binds and rule.beta is not None else None
-            if (not binds or rule.cap is None or counts[i - 1][b] <= rule.cap
-                    or (coin is not None and coin >= rule.beta)):
+            binds = i < d and (rounds is None or i <= rounds)
+            coin = aux.next() if binds and beta is not None else None
+            if (not binds or cap is None or counts[i - 1][b] <= cap
+                    or (coin is not None and coin >= beta)):
                 counts[i - 1][b] += 1
                 loads[b] += 1
                 break
     return loads, counts, reached, primaries
 
 
-def naive_batched_counts(n, d, m, cap, trials, seed, beta=None):
+def naive_batched_counts(n, d, m, cap, trials, seed, beta=None, rounds=None):
     """Max-load table of the batched process, run trial by trial with dicts.
 
     Round 1 reads trials·m values of the batch stream, one trial after
     another; each later round reads one value per rejected ball, in (trial,
-    ball) order.  The rule binds in every round before the last if beta is
-    None, and in round 1 (if d > 1) if beta is set.  There, with beta set,
-    each ball reads one aux coin in the same order, and a ball is accepted
-    if cap is None, if its bin's count so far is at most cap, or if its coin
-    is >= beta.  Other rounds accept every ball.
+    ball) order.  The rule binds in rounds 1..rounds before the last (every
+    round before the last if rounds is None).  There, with beta set, each
+    ball reads one aux coin in the same order, and a ball is accepted if
+    cap is None, if its bin's count so far is at most cap, or if its coin is
+    >= beta.  Other rounds accept every ball.
     """
     rng = _generator(seed, POOL_TAG, 0)
     coins = iter(_generator(seed, AUX_TAG).random(trials * m * d).tolist())
@@ -143,7 +143,7 @@ def naive_batched_counts(n, d, m, cap, trials, seed, beta=None):
             counts = {}
             rejected.append(0)
             for b in offers[t]:
-                binds = i < d and (beta is None or i == 1)
+                binds = i < d and (rounds is None or i <= rounds)
                 forced = binds and beta is not None and next(coins) >= beta
                 if not binds or forced or cap is None or counts.get(b, 0) <= cap:
                     counts[b] = counts.get(b, 0) + 1
@@ -307,7 +307,8 @@ class TestRuleStream:
         beta = getattr(strat, "beta", None)
         cap = getattr(strat, "cap", m)
         assert simulate_max_load_counts(n, d, m, strat, trials, seed) == \
-            naive_batched_counts(n, d, m, cap, trials, seed, beta=beta)
+            naive_batched_counts(n, d, m, cap, trials, seed, beta=beta,
+                                 rounds=None if beta is None else 1)
         return loads, top
 
     @pytest.mark.parametrize("d", [1, 2, 3])
@@ -344,52 +345,72 @@ def rule_strategy(round_rule):
     return RuleOnly()
 
 
-class TestRoundRuleGrid:
-    """Every `RoundRule`, run as a bare `Strategy`, gives one result on every path.
+def bound_rounds(rounds, d):
+    """How many of d rounds a rule binding in rounds 1..rounds before the last binds in."""
+    return d - 1 if rounds is None else min(rounds, d - 1)
 
-    The cells are cap in {None, 0, 1} by beta in {None, 0.4}, at d = 1, 2, 3.
-    A single trial gives the same bytes from `run_trial` (the compiled
-    loop), the mask path (`MaskOnly`), `step` and `naive_rule_run`, and a
-    batch gives `naive_batched_counts`' table.  A rule with a coin binds in
-    round 1 only, so its cells at d = 3 run a round before the last that
-    does not bind.
+
+class TestRoundRuleGrid:
+    """Every round rule the grid states, run as a bare `Strategy`, gives one result on every path.
+
+    A cell is cap in {None, 0, 1}, beta in {None, 0.4} and rounds in {None,
+    0, 1, 2}, at d = 1, 2, 3: the rule binds in rounds 1..rounds before the
+    last (every round before the last if rounds is None), as the naive
+    references state it.  `cell_rule` runs it as a `RoundRule`.  A single
+    trial gives the same bytes from `run_trial` (the compiled loop), the
+    mask path (`MaskOnly`), `step` and `naive_rule_run`, and a batch gives
+    `naive_batched_counts`' table.  A coin binds in round 1 only, so the
+    grid has no cell whose coin could decide a ball in round 2.
     """
 
-    GRID = [(cap, beta) for cap in (None, 0, 1) for beta in (None, 0.4)]
-    IDS = [f"cap{cap}-beta{beta}" for cap, beta in GRID]
+    RULES = [(cap, beta) for cap in (None, 0, 1) for beta in (None, 0.4)]
+    CELLS = [(cap, beta, rounds, d) for cap, beta in RULES for rounds in (None, 0, 1, 2)
+             for d in (1, 2, 3)
+             if beta is None or cap is None or bound_rounds(rounds, d) <= 1]
+    IDS = [f"cap{cap}-beta{beta}-rounds{rounds}-{d}" for cap, beta, rounds, d in CELLS]
 
-    @pytest.mark.parametrize("d", [1, 2, 3])
-    @pytest.mark.parametrize("cell", GRID, ids=IDS)
-    def test_single(self, cell, d):
-        rule = RoundRule(*cell)
-        strat = rule_strategy(rule)
+    @staticmethod
+    def cell_rule(cap, beta, rounds, d):
+        """The `RoundRule` that binds as the cell states.
+
+        A rule binding in no round accepts every ball, as cap None does.  A
+        cap binding in round 1 only, before two more rounds, is a coin rule
+        whose coin, below 1, never reaches beta 1.
+        """
+        binding = bound_rounds(rounds, d)
+        if binding == 0:
+            return RoundRule()
+        if beta is None and binding < d - 1:
+            return RoundRule(cap, beta=1.0)
+        return RoundRule(cap, beta)
+
+    @pytest.mark.parametrize("cap,beta,rounds,d", CELLS, ids=IDS)
+    def test_single(self, cap, beta, rounds, d):
+        strat = rule_strategy(self.cell_rule(cap, beta, rounds, d))
         for n, m, seed in ((1, 5, 1), (7, 40, 2), (60, 400, 3)):
             result = run_trial(n, d, m, strat, seed)
             assert run_trial(n, d, m, MaskOnly(strat), seed).to_json() == result.to_json()
             state, _, _ = reference_step_run(n, d, m, strat, seed)
             assert _result_from_state(state, strat.name, seed).to_json() == result.to_json()
-            loads, counts, reached, primaries = naive_rule_run(n, d, m, rule,
+            loads, counts, reached, primaries = naive_rule_run(n, d, m, cap, beta, rounds,
                                                                *make_pools(n, d, seed))
             naive = _summary(np.array(loads), len(primaries), reached,
                              [max(row) for row in counts], strat.name, seed)
             assert naive.to_json() == result.to_json()
 
-    @pytest.mark.parametrize("d", [1, 2, 3])
-    @pytest.mark.parametrize("cell", GRID, ids=IDS)
-    def test_batched(self, cell, d):
-        rule = RoundRule(*cell)
-        strat = rule_strategy(rule)
+    @pytest.mark.parametrize("cap,beta,rounds,d", CELLS, ids=IDS)
+    def test_batched(self, cap, beta, rounds, d):
+        strat = rule_strategy(self.cell_rule(cap, beta, rounds, d))
         for n, m, trials in ((3, 4, 400), (5, 9, 200)):
             seed = n + d
-            table = simulate_max_load_counts(n, d, m, strat, trials, seed)
-            assert table == naive_batched_counts(n, d, m, rule.cap, trials, seed,
-                                                 beta=rule.beta)
+            assert simulate_max_load_counts(n, d, m, strat, trials, seed) == \
+                naive_batched_counts(n, d, m, cap, trials, seed, beta=beta, rounds=rounds)
 
     def test_deterministic_iff_no_coin(self):
         assert ThresholdStrategy(1.5).deterministic and AlwaysAccept().deterministic
         assert not BetaThinning(0.5, 1).deterministic
-        for cell in self.GRID:
-            assert rule_strategy(RoundRule(*cell)).deterministic == (cell[1] is None)
+        for cap, beta in self.RULES:
+            assert rule_strategy(RoundRule(cap, beta)).deterministic == (beta is None)
         with pytest.raises(ConfigError, match="randomized"):
             exact_distribution(2, 2, 2, rule_strategy(RoundRule(cap=0, beta=0.4)))
 
@@ -398,6 +419,24 @@ class TestRoundRuleGrid:
         # cap -1 would reject a bin's first offer, and ψ counts round 1's accepted bins
         with pytest.raises(ConfigError, match="cap must be >= 0, got -1"):
             RoundRule(cap=-1, beta=beta)
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_rule_binding_in_no_round_is_one_choice(self, d):
+        # no RoundRule with a cap binds in no round, so the mask protocol states this one
+        class NoRound(MaskOnly):
+            def decide(self, i, bin_index, state, aux):
+                return True
+
+            def accept_mask(self, i, suggestions, aux):
+                return np.ones(suggestions.size, dtype=bool)
+
+        strat = NoRound(ThresholdStrategy(0.5))
+        assert exact_distribution(3, d, 3, strat).masses == multinomial_max_load_exact(3, 3)
+        result = run_trial(20, d, 60, strat, seed=5)
+        assert result.rejection_counters == (60,) + (0,) * (d - 1)
+        assert result.histogram == run_trial(20, d, 60, AlwaysAccept(), seed=5).histogram
+        loads, _, _, _ = naive_rule_run(20, d, 60, 0, None, 0, *make_pools(20, d, 5))
+        assert dict(Counter(loads)) == result.histogram
 
 
 class TestEmptyRounds:
