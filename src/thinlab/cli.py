@@ -7,6 +7,7 @@ command-line flags override file values.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -14,7 +15,7 @@ import sys
 from .core import ConfigError
 from .experiments import (ExperimentConfig, emit, format_results, parse_rho,
                           run_experiment, sweep)
-from .oracle import OracleBudgetExceeded, exact_distribution
+from .oracle import DEFAULT_NODE_BUDGET, OracleBudgetExceeded, exact_distribution
 from .strategies import make_strategy
 from .theory import (beta_sequence, ell, lower_tail_probability,
                      predicted_bounds, predicted_max, upper_tail_probability)
@@ -59,12 +60,11 @@ def build_parser() -> argparse.ArgumentParser:
     oracle_p.add_argument("--d", type=int, required=True)
     oracle_p.add_argument("--m", type=int, required=True)
     oracle_p.add_argument("--strategy", type=str, required=True)
-    oracle_p.add_argument("--node-budget", type=int, default=None)
+    oracle_p.add_argument("--node-budget", type=int, default=DEFAULT_NODE_BUDGET)
     return parser
 
 
-_CONFIG_KEYS = ("n", "d", "rho", "strategy", "trials", "seed", "threads",
-                "out", "fmt", "n_grid")
+_CONFIG_KEYS = tuple(field.name for field in dataclasses.fields(ExperimentConfig))
 _STRING_KEYS = ("rho", "strategy", "out", "fmt")
 
 
@@ -89,7 +89,10 @@ def _merge_config(args: argparse.Namespace) -> ExperimentConfig:
     file_values = {}
     if getattr(args, "config", None):
         with open(args.config) as f:
-            raw = json.load(f)
+            try:
+                raw = json.load(f)
+            except ValueError as exc:
+                raise ConfigError(f"config file {args.config} is not valid JSON: {exc}") from None
         if not isinstance(raw, dict):
             raise ConfigError(f"config file {args.config} must hold a JSON object")
         alias = {"format": "fmt"}
@@ -103,7 +106,10 @@ def _merge_config(args: argparse.Namespace) -> ExperimentConfig:
     for key in _CONFIG_KEYS:
         cli_value = getattr(args, key, None)
         if key == "n_grid" and isinstance(cli_value, str):
-            cli_value = tuple(int(v) for v in cli_value.split(",") if v)
+            try:
+                cli_value = tuple(int(v) for v in cli_value.split(",") if v)
+            except ValueError:
+                raise ConfigError(f"--n-grid must list integers, got {cli_value!r}") from None
         if cli_value is not None:
             merged[key] = cli_value
         elif key in file_values:
@@ -153,10 +159,7 @@ def cmd_theory(args) -> int:
 
 def cmd_oracle(args) -> int:
     strategy = make_strategy(args.strategy, args.n, args.d)
-    kwargs = {}
-    if args.node_budget is not None:
-        kwargs["node_budget"] = args.node_budget
-    dist = exact_distribution(args.n, args.d, args.m, strategy, **kwargs)
+    dist = exact_distribution(args.n, args.d, args.m, strategy, args.node_budget)
     print("maxload,probability")
     for value, mass in dist.as_floats().items():
         print(f"{value},{mass!r}")

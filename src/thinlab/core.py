@@ -238,8 +238,8 @@ class AllocationState:
     t balls have been placed.  round_loads[i-1][b] counts the balls that
     accepted bin b at round i, so bin b's load is round_loads[:, b].sum()
     and r_i, the balls that reached round i, is the total of rows i..d.
-    psi_seen[b] flags bins ever offered as a primary.  `decide` reads these
-    fields; `_result_from_state` derives a run's numbers from them.
+    psi_seen[b] flags bins ever offered as a primary.  `decide` reads only
+    round_loads and d; `_result_from_state` derives a run's numbers from them all.
     """
 
     n: int

@@ -7,9 +7,8 @@ process transition rather than calling the engine's step(), which is what
 lets it act as an independent validator: the engine's Monte Carlo
 frequencies are checked against the enumerated masses.  It keeps one
 `AllocationState`: a branch that places a ball adds it to `round_loads` and
-`t`, a round-1 branch flags its bin in `psi_seen`, and each branch undoes
-what it changed on return.  A leaf's max load is the largest column sum of
-`round_loads`.
+`t`, and undoes both on return.  A leaf's max load is the largest column
+sum of `round_loads`.
 
 Only strategies whose decisions are deterministic functions of that state
 qualify; a strategy that consults its randomness stream is rejected (the
@@ -35,11 +34,10 @@ class OracleBudgetExceeded(RuntimeError):
 class _ForbiddenAux:
     """Aux stream stub; any draw proves the strategy is randomized."""
 
-    def next(self):
+    def take(self, k=1):
         raise ConfigError("oracle requires a deterministic strategy; it consulted randomness")
 
-    def take(self, k):
-        raise ConfigError("oracle requires a deterministic strategy; it consulted randomness")
+    next = take
 
 
 @dataclass(frozen=True)
@@ -76,37 +74,29 @@ def exact_distribution(n: int, d: int, m: int, strategy,
     masses: dict[int, Fraction] = {}
     nodes = 0
 
-    def walk_ball(ball: int, weight: Fraction) -> None:
-        if ball == m:
+    def walk(i: int, weight: Fraction) -> None:
+        """Branch over round i's offer of ball state.t, or record the leaf once m are placed."""
+        nonlocal nodes
+        if state.t == m:
             top = int(state.round_loads.sum(axis=0).max())
             masses[top] = masses.get(top, Fraction(0)) + weight
             return
-        walk_round(1, weight)  # which recurses into the next ball on acceptance
-
-    def walk_round(i: int, weight: Fraction) -> None:
-        nonlocal nodes
         branch_weight = weight * inv_n
         for b in range(n):
             nodes += 1
             if nodes > node_budget:
                 raise OracleBudgetExceeded(
                     f"decision tree exceeds the {node_budget}-node budget")
-            accepted = i == state.d or strategy.decide(i, b, state, aux)
-            if i == 1:
-                prior_psi = bool(state.psi_seen[b])
-                state.psi_seen[b] = True
-            if accepted:
+            if i == state.d or strategy.decide(i, b, state, aux):
                 state.round_loads[i - 1, b] += 1
                 state.t += 1
-                walk_ball(state.t, branch_weight)
+                walk(1, branch_weight)
                 state.t -= 1
                 state.round_loads[i - 1, b] -= 1
             else:
-                walk_round(i + 1, branch_weight)
-            if i == 1:
-                state.psi_seen[b] = prior_psi
+                walk(i + 1, branch_weight)
 
-    walk_ball(0, Fraction(1))
+    walk(1, Fraction(1))
     return ExactDistribution(n=n, d=d, m=m, strategy=strategy, masses=masses)
 
 

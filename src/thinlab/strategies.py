@@ -1,11 +1,11 @@
 """Decision rules for the thinning engine.
 
 A strategy answers accept/reject for the round-i offer of the current ball,
-reading only the allocation state's `round_loads`, `psi_seen`, `t`, `n` and
-`d` (bin b's load is `round_loads[:, b].sum()`) and, optionally, its own
-auxiliary randomness stream.  Round d is always an accept and the engine
-never consults the strategy there.  Strategies are immutable after
-construction and safe to share across trials.
+reading only the allocation state's `round_loads` and `d` (bin b's load is
+`round_loads[:, b].sum()`) and, optionally, its own auxiliary randomness
+stream.  Round d is always an accept and the engine never consults the
+strategy there.  Strategies are immutable after construction and safe to
+share across trials.
 
 A strategy states its rule once, as plain data: `rule`, a `core.RoundRule`
 (a cap on the bin's round count in every round before the last, and an
@@ -134,13 +134,19 @@ def make_strategy(spec: str, n: int, d: int) -> Strategy:
     "threshold-scaled:c=1.5", "beta-thinning:beta=0.5" (optional ",cap=K").
     """
     kind, _, argstr = spec.partition(":")
-    args = {}
+    args, types = {}, {"ell": float, "c": float, "beta": float, "cap": int}
     if argstr:
         for item in argstr.split(","):
             key, _, value = item.partition("=")
             if not _:
                 raise ConfigError(f"malformed strategy argument {item!r} in {spec!r}")
-            args[key.strip()] = value.strip()
+            key, value = key.strip(), value.strip()
+            try:
+                args[key] = types.get(key, str)(value)
+            except ValueError:
+                what = "an integer" if types[key] is int else "a number"
+                raise ConfigError(f"argument {key!r} of strategy {spec!r} must be {what}, "
+                                  f"got {value!r}") from None
     try:
         if kind == "always-accept":
             _reject_unknown(args, set(), spec)
@@ -148,16 +154,15 @@ def make_strategy(spec: str, n: int, d: int) -> Strategy:
         if kind == "threshold":
             _reject_unknown(args, {"ell"}, spec)
             if "ell" in args:
-                return ThresholdStrategy(float(args["ell"]),
-                                         name=f"threshold:ell={float(args['ell'])!r}")
+                return ThresholdStrategy(args["ell"], name=f"threshold:ell={args['ell']!r}")
             return threshold_for(n, d)
         if kind == "threshold-scaled":
             _reject_unknown(args, {"c"}, spec)
-            return scaled_threshold(float(args["c"]), n, d)
+            return scaled_threshold(args["c"], n, d)
         if kind == "beta-thinning":
             _reject_unknown(args, {"beta", "cap"}, spec)
-            cap = int(args["cap"]) if "cap" in args else math.floor(ell(n, d))
-            return beta_thinning(float(args["beta"]), d, cap)
+            cap = args["cap"] if "cap" in args else math.floor(ell(n, d))
+            return beta_thinning(args["beta"], d, cap)
     except KeyError as exc:
         raise ConfigError(f"strategy {spec!r} is missing argument {exc}") from None
     raise ConfigError(f"unknown strategy {spec!r}")

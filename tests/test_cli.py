@@ -88,6 +88,18 @@ class TestRunCommand:
     def test_bad_strategy_exit_code(self):
         assert run_cli("run", "--n", "50", "--strategy", "nope") == 2
 
+    @pytest.mark.parametrize("spec", ["beta-thinning:beta=0.5,cap=1.5", "threshold:ell=abc",
+                                      "threshold-scaled:c=x", "beta-thinning:beta="])
+    def test_unconvertible_strategy_argument_message(self, capsys, spec):
+        assert run_cli("run", "--n", "50", "--strategy", spec) == 2
+        assert f"of strategy {spec!r} must be" in capsys.readouterr().err
+
+    def test_malformed_config_file_message(self, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text("{n: 50}")
+        assert run_cli("run", "--config", str(config)) == 2
+        assert f"config file {config} is not valid JSON" in capsys.readouterr().err
+
     @pytest.mark.parametrize("command,size", [("run", "--n"), ("sweep", "--n-grid")],
                              ids=["run", "sweep"])
     def test_zero_depth_message(self, capsys, command, size):
@@ -154,6 +166,10 @@ class TestSweepCommand:
 
     def test_missing_grid_rejected(self):
         assert run_cli("sweep", "--d", "2", "--trials", "1") == 2
+
+    def test_malformed_grid_message(self, capsys):
+        assert run_cli("sweep", "--n-grid", "10,abc", "--d", "2") == 2
+        assert "--n-grid must list integers, got '10,abc'" in capsys.readouterr().err
 
 
 class TestTheoryCommand:

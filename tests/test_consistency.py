@@ -1,10 +1,10 @@
 """Cross-implementation checks.
 
-An intentionally naive dict-based re-implementation of the process consumes
+An intentionally naive list-based re-implementation of the process consumes
 the same suggestion streams as the engine; agreement on every tracked
 quantity guards the vectorised paths at scales the exact oracle cannot
 reach.  Greedy d-choice is checked the same way against a per-ball loop, and
-the batched tables against a trial-by-trial run of the batched process.
+batched runs against a trial-by-trial run of the batched process.
 """
 
 from collections import Counter
@@ -12,53 +12,15 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from thinlab.core import (AUX_TAG, POOL_TAG, ConfigError, RoundRule, _aux_pool, _bin_pool,
-                          _generator, _result_from_state, _run_batch, _summary, make_pools,
-                          new_state, run_greedy_d_choice, run_trial, simulate_max_load_counts)
+from thinlab.core import (AUX_TAG, POOL_TAG, ConfigError, RoundRule, _generator,
+                          _result_from_state, _run_batch, _summary, make_pools, new_state,
+                          run_greedy_d_choice, run_trial, simulate_max_load_counts)
 from thinlab.oracle import compare_empirical, exact_distribution, multinomial_max_load_exact
 from thinlab.strategies import (AlwaysAccept, BetaThinning, Strategy, ThresholdStrategy,
                                 threshold_for)
 
 from test_core import reference_step_run
-from test_strategies import MaskOnly, counts_run
-
-
-def naive_threshold_run(n, d, cap, m, pools):
-    loads = [0] * n
-    counts = [[0] * n for _ in range(d)]
-    reached = [0] * d
-    chosen = [0] * d
-    primaries = set()
-    for _ in range(m):
-        for i in range(1, d + 1):
-            b = pools[i - 1].next()
-            if i == 1:
-                primaries.add(b)
-            reached[i - 1] += 1
-            if i == d or counts[i - 1][b] <= cap:
-                counts[i - 1][b] += 1
-                loads[b] += 1
-                chosen[i - 1] += 1
-                break
-    return loads, counts, reached, chosen, primaries
-
-
-def naive_beta_run(n, cap, beta, m, pools, aux):
-    loads = [0] * n
-    counts1 = [0] * n
-    reached2 = 0
-    primaries = set()
-    for _ in range(m):
-        b = pools[0].next()
-        primaries.add(b)
-        permitted = aux.next() < beta
-        if (not permitted) or counts1[b] <= cap:
-            counts1[b] += 1
-            loads[b] += 1
-        else:
-            reached2 += 1
-            loads[pools[1].next()] += 1
-    return loads, counts1, reached2, primaries
+from test_strategies import MaskOnly
 
 
 def naive_greedy_run(n, d, m, seed):
@@ -121,8 +83,22 @@ def naive_rule_run(n, d, m, cap, beta, rounds, pools, aux):
     return loads, counts, reached, primaries
 
 
-def naive_batched_counts(n, d, m, cap, trials, seed, beta=None, rounds=None):
-    """Max-load table of the batched process, run trial by trial with dicts.
+def naive_result(n, d, m, cap, beta, rounds, name, seed):
+    """The `TrialResult` of `naive_rule_run` on the streams of seed's trial."""
+    loads, counts, reached, primaries = naive_rule_run(n, d, m, cap, beta, rounds,
+                                                       *make_pools(n, d, seed))
+    return _summary(np.array(loads), len(primaries), reached, [max(row) for row in counts],
+                    name, seed)
+
+
+def rule_args(strat):
+    """A built-in strategy's (cap, beta, rounds) for the naive runs: a coin binds in round 1."""
+    rule = strat.rule
+    return rule.cap, rule.beta, None if rule.beta is None else 1
+
+
+def naive_batched_run(n, d, m, cap, trials, seed, beta=None, rounds=None):
+    """The batched process run trial by trial with lists, reported as `_run_batch` reports it.
 
     Round 1 reads trials·m values of the batch stream, one trial after
     another; each later round reads one value per rejected ball, in (trial,
@@ -130,39 +106,49 @@ def naive_batched_counts(n, d, m, cap, trials, seed, beta=None, rounds=None):
     round before the last if rounds is None).  There, with beta set, each
     ball reads one aux coin in the same order, and a ball is accepted if
     cap is None, if its bin's count so far is at most cap, or if its coin is
-    >= beta.  Other rounds accept every ball.
+    >= beta.  Other rounds accept every ball.  Returns the loads per key
+    (trial t's bin b is key t·n + b), ψ (the keys offered in round 1),
+    r_1..r_d and each round's largest accepted count.
     """
     rng = _generator(seed, POOL_TAG, 0)
     coins = iter(_generator(seed, AUX_TAG).random(trials * m * d).tolist())
     values = rng.integers(0, n, size=trials * m).tolist()
     offers = [values[t * m:(t + 1) * m] for t in range(trials)]
-    loads = [{} for _ in range(trials)]
+    loads = [[0] * n for _ in range(trials)]
+    psi = sum(len(set(trial)) for trial in offers)
+    reached, top = [], []
     for i in range(1, d + 1):
-        rejected = []
+        reached.append(sum(map(len, offers)))
+        binds = i < d and (rounds is None or i <= rounds)
+        rejected, largest = [], 0
         for t in range(trials):
-            counts = {}
+            counts = [0] * n
             rejected.append(0)
             for b in offers[t]:
-                binds = i < d and (rounds is None or i <= rounds)
                 forced = binds and beta is not None and next(coins) >= beta
-                if not binds or forced or cap is None or counts.get(b, 0) <= cap:
-                    counts[b] = counts.get(b, 0) + 1
-                    loads[t][b] = loads[t].get(b, 0) + 1
+                if not binds or forced or cap is None or counts[b] <= cap:
+                    counts[b] += 1
+                    loads[t][b] += 1
                 else:
                     rejected[t] += 1
+            largest = max(largest, *counts)
+        top.append(largest)
         fresh = rng.integers(0, n, size=sum(rejected)).tolist() if i < d else []
         offers, start = [], 0
         for r in rejected:
             offers.append(fresh[start:start + r])
             start += r
-    return dict(Counter(max(trial.values(), default=0) for trial in loads))
+    return [v for trial in loads for v in trial], psi, reached, top
 
 
-def histogram_of(loads):
-    hist = {}
-    for v in loads:
-        hist[v] = hist.get(v, 0) + 1
-    return hist
+def max_load_table(loads, n):
+    """The max-load frequency table of per-key loads, n keys a trial."""
+    return dict(Counter(max(loads[k:k + n]) for k in range(0, len(loads), n)))
+
+
+def naive_batched_counts(n, d, m, cap, trials, seed, beta=None, rounds=None):
+    """Max-load table of `naive_batched_run`."""
+    return max_load_table(naive_batched_run(n, d, m, cap, trials, seed, beta, rounds)[0], n)
 
 
 class TestNaiveAgreement:
@@ -171,7 +157,7 @@ class TestNaiveAgreement:
         (3, 3, 90, 1.0, 44), (50, 2, 800, 1.9, 45),
     ])
     def test_threshold_all_quantities(self, n, d, m, ell_value, seed):
-        self.check_threshold(n, d, m, ThresholdStrategy(ell_value), seed)
+        self.check(n, d, m, ThresholdStrategy(ell_value), seed)
 
     @pytest.mark.parametrize("d,seed", [(2, 46), (3, 47)])
     def test_threshold_sparse_regime(self, d, seed):
@@ -179,48 +165,25 @@ class TestNaiveAgreement:
         # bins get more than cap+1 offers, so few balls are ranked, as at
         # n = 10**6.
         n = m = 20_000
-        reached = self.check_threshold(n, d, m, threshold_for(n, d), seed)
+        reached = self.check(n, d, m, threshold_for(n, d), seed)
         assert reached[1] < m // 20
-
-    @staticmethod
-    def check_threshold(n, d, m, strat, seed):
-        engine = run_trial(n, d, m, strat, seed=seed)
-        pools, _ = make_pools(n, d, seed)
-        loads, counts, reached, chosen, primaries = naive_threshold_run(
-            n, d, strat.cap, m, pools)
-
-        assert engine.histogram == histogram_of(loads)
-        assert engine.max_load == max(loads)
-        assert engine.rejection_counters == tuple(reached)
-        assert engine.chosen_counts == tuple(chosen)
-        assert engine.round_load_max == tuple(max(row) for row in counts)
-        assert engine.psi == len(primaries)
-        assert engine.phi == sum(1 for v in loads if v > 0)
-        return reached
 
     @pytest.mark.parametrize("beta,cap,seed", [(0.3, 0, 51), (0.7, 1, 52),
                                                (0.95, 2, 53)])
     def test_beta_thinning_all_quantities(self, beta, cap, seed):
-        self.check_beta_thinning(6, 300, beta, cap, seed)
+        self.check(6, 2, 300, BetaThinning(beta, cap), seed)
 
     def test_beta_thinning_sparse_regime(self):
         n = m = 20_000
-        reached2 = self.check_beta_thinning(n, m, 0.9, 3, 54)
-        assert reached2 < m // 100
+        reached = self.check(n, 2, m, BetaThinning(0.9, 3), 54)
+        assert reached[1] < m // 100
 
     @staticmethod
-    def check_beta_thinning(n, m, beta, cap, seed):
-        strat = BetaThinning(beta, cap=cap)
-        engine = run_trial(n, 2, m, strat, seed=seed)
-        pools, aux = make_pools(n, 2, seed)
-        loads, counts1, reached2, primaries = naive_beta_run(
-            n, cap, beta, m, pools, aux)
-
-        assert engine.histogram == histogram_of(loads)
-        assert engine.rejection_counters == (m, reached2)
-        assert engine.round_load_max[0] == max(counts1)
-        assert engine.psi == len(primaries)
-        return reached2
+    def check(n, d, m, strat, seed):
+        """`run_trial` gives `naive_rule_run`'s bytes; returns r_1..r_d."""
+        naive = naive_result(n, d, m, *rule_args(strat), strat.name, seed)
+        assert run_trial(n, d, m, strat, seed).to_json() == naive.to_json()
+        return naive.rejection_counters
 
 
 class TestGreedyAgreement:
@@ -275,10 +238,11 @@ class TestBatchedAgreement:
 
 
 class TestRuleStream:
-    """Every rule's compiled stream gives the numpy reference's bytes and the per-ball loop's.
+    """Every rule's compiled stream gives the per-ball loops' bytes.
 
-    A single trial is checked against `counts_run` and `step`, a batch
-    against `counts_run` and `naive_batched_counts`.  The last cases put
+    A single trial is checked against `naive_rule_run` and `step`, a batch
+    against `naive_batched_run` in full (per-key loads, ψ, r_1..r_d and
+    each round's largest count) and its max-load table.  The last cases put
     bins past 255 balls in the rows and the loads, so the one-byte counts
     widen, and their batches span two 2**16-value blocks; there the mask
     path (`MaskOnly`) widens too, to the bare strategy's result.
@@ -291,24 +255,20 @@ class TestRuleStream:
     @staticmethod
     def check_single(n, d, m, strat, seed):
         result = run_trial(n, d, m, strat, seed)
-        reference = counts_run(n, d, m, strat, *make_pools(n, d, seed))
-        assert result.to_json() == _summary(*reference, strat.name, seed).to_json()
+        naive = naive_result(n, d, m, *rule_args(strat), strat.name, seed)
+        assert result.to_json() == naive.to_json()
         state, _, _ = reference_step_run(n, d, m, strat, seed)
         assert result == _result_from_state(state, strat.name, seed)
         return result
 
     @staticmethod
     def check_batched(n, d, m, strat, trials, seed):
-        pool = _bin_pool(n, seed, POOL_TAG, 0)
         loads, psi, r, top = _run_batch(n, d, m, strat, trials, seed)
-        reference = counts_run(n, d, m, strat, [pool] * d, _aux_pool(seed), trials)
-        assert (loads.tolist(), int(psi), r, [int(v) for v in top]) == \
-            (reference[0].tolist(), reference[1], reference[2], [int(v) for v in reference[3]])
-        beta = getattr(strat, "beta", None)
-        cap = getattr(strat, "cap", m)
+        cap, beta, rounds = rule_args(strat)
+        naive = naive_batched_run(n, d, m, cap, trials, seed, beta, rounds)
+        assert (loads.tolist(), int(psi), r, [int(v) for v in top]) == naive
         assert simulate_max_load_counts(n, d, m, strat, trials, seed) == \
-            naive_batched_counts(n, d, m, cap, trials, seed, beta=beta,
-                                 rounds=None if beta is None else 1)
+            max_load_table(naive[0], n)
         return loads, top
 
     @pytest.mark.parametrize("d", [1, 2, 3])
@@ -392,10 +352,7 @@ class TestRoundRuleGrid:
             assert run_trial(n, d, m, MaskOnly(strat), seed).to_json() == result.to_json()
             state, _, _ = reference_step_run(n, d, m, strat, seed)
             assert _result_from_state(state, strat.name, seed).to_json() == result.to_json()
-            loads, counts, reached, primaries = naive_rule_run(n, d, m, cap, beta, rounds,
-                                                               *make_pools(n, d, seed))
-            naive = _summary(np.array(loads), len(primaries), reached,
-                             [max(row) for row in counts], strat.name, seed)
+            naive = naive_result(n, d, m, cap, beta, rounds, strat.name, seed)
             assert naive.to_json() == result.to_json()
 
     @pytest.mark.parametrize("cap,beta,rounds,d", CELLS, ids=IDS)

@@ -9,8 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from thinlab.core import (ConfigError, _result_from_state, make_pools, new_state,
-                          occurrence_rank, run_trial, simulate_max_load_counts, step)
+from thinlab.core import (ConfigError, _result_from_state, make_pools, new_state, run_trial,
+                          simulate_max_load_counts, step)
 from thinlab.strategies import (AlwaysAccept, BetaThinning, ThresholdStrategy,
                                 beta_thinning, make_strategy, scaled_threshold,
                                 threshold_for)
@@ -94,72 +94,28 @@ class TestAlwaysAccept:
         assert AlwaysAccept().decide(1, 0, state, None) is True
 
 
-def accept_counts(strategy, i, offered, suggestions, aux):
-    """numpy reference of a built-in rule's round i < d: `offered` rewritten into accepted counts.
-
-    `offered` holds the round's offers per key, over every key, and
-    `suggestions` the round's keys in ball order.  Threshold keeps a key's
-    first cap+1 offers.  Beta-thinning takes one coin per round-1 ball, as
-    `accept_mask` does, and a key loses its balls after the first cap+1
-    whose coin is below beta; only the balls of keys offered more than
-    cap+1 times are ranked.  Always-accept, and beta-thinning after round 1,
-    keep every offer.
-    """
-    if isinstance(strategy, ThresholdStrategy):
-        np.minimum(offered, strategy.cap + 1, out=offered)
-    elif isinstance(strategy, BetaThinning) and i == 1:
-        u = aux.take(suggestions.size)
-        k = strategy.cap + 1
-        over = np.flatnonzero((offered > k)[suggestions])
-        if over.size:
-            late = over[occurrence_rank(suggestions[over]) >= k]
-            np.subtract.at(offered, suggestions[late[u[late] < strategy.beta]], 1)
-
-
-def counts_run(n, d, m, strategy, pools, aux, trials=1):
-    """Whole-round numpy reference of the engine's rule path, on its streams.
-
-    Each round counts its offers per key (trial t's bin b is key t·n + b)
-    with `bincount` and turns them into its accepted counts with
-    `accept_counts`.  Round i+1 offers each trial's rejected balls, in
-    (trial, ball) order.  Returns the loads, ψ, r_1..r_d and each round's
-    largest accepted count, as `core._run` does.
-    """
-    keys = trials * n
-    current = pools[0].take(trials * m) + np.repeat(np.arange(0, keys, n), m)
-    waiting = np.full(trials, m)
-    r, top = [], []
-    for i in range(1, d + 1):
-        r.append(current.size)
-        offered = np.bincount(current, minlength=keys)
-        if i == 1:
-            psi, loads = np.count_nonzero(offered), np.zeros(keys, np.int64)
-        if i < d:
-            accept_counts(strategy, i, offered, current, aux)
-        loads += offered
-        top.append(offered.max(initial=0))
-        if i < d:
-            waiting -= offered.reshape(trials, n).sum(axis=1)
-            current = pools[i].take(int(waiting.sum())) + np.arange(0, keys, n).repeat(waiting)
-    return loads, psi, r, top
-
-
-class TestAcceptCounts:
-    """The reference `accept_counts` is the per-bin total of the balls `accept_mask` accepts."""
+class TestAcceptMask:
+    """`accept_mask` accepts what a per-ball loop written from `RoundRule`'s docstring does."""
 
     @settings(deadline=None)
     @given(values=st.lists(st.integers(0, 12), max_size=80), cap=st.integers(0, 3),
-           i=st.integers(1, 3), spare=st.integers(0, 3), seed=st.integers(0, 2**32))
+           i=st.integers(1, 3), seed=st.integers(0, 2**32))
     @pytest.mark.parametrize("kind", ["threshold", "always-accept", "beta-thinning"])
-    def test_counts_equal_masked_bincount(self, kind, values, cap, i, spare, seed):
+    def test_mask_matches_per_ball_rule(self, kind, values, cap, i, seed):
         strat = {"threshold": ThresholdStrategy(cap + 0.5), "always-accept": AlwaysAccept(),
                  "beta-thinning": BetaThinning(0.5, cap)}[kind]
-        v = np.asarray(values, dtype=np.int64)
-        offered = np.bincount(v, minlength=v.max(initial=-1) + 1 + spare)
-        accept_counts(strat, i, offered, v, make_pools(1, 1, seed)[1])
-        expected = np.bincount(v[strat.accept_mask(i, v, make_pools(1, 1, seed)[1])],
-                               minlength=offered.size)
-        assert offered.tolist() == expected.tolist()
+        rule, aux = strat.rule, make_pools(1, 1, seed)[1]
+        # the mask is asked about rounds before the last; a coin rule binds in round 1 only
+        binds = rule.beta is None or i == 1
+        accepted, expected = [0] * 13, []
+        for b in values:
+            coin = aux.next() if binds and rule.beta is not None else None
+            ok = (not binds or rule.cap is None or accepted[b] <= rule.cap
+                  or (coin is not None and coin >= rule.beta))
+            accepted[b] += ok
+            expected.append(ok)
+        mask = strat.accept_mask(i, np.asarray(values, dtype=np.int64), make_pools(1, 1, seed)[1])
+        assert mask.tolist() == expected
 
 
 class MaskOnly:
@@ -391,6 +347,17 @@ class TestMakeStrategy:
             make_strategy("threshold:junk=1", 100, 2)
         with pytest.raises(ConfigError):
             make_strategy("threshold-scaled:c", 100, 2)
+
+    @pytest.mark.parametrize("spec,key,what", [
+        ("beta-thinning:beta=0.5,cap=1.5", "cap", "an integer"),
+        ("threshold:ell=abc", "ell", "a number"),
+        ("threshold-scaled:c=x", "c", "a number"),
+        ("beta-thinning:beta=", "beta", "a number"),
+    ])
+    def test_names_unconvertible_argument(self, spec, key, what):
+        message = f"argument {key!r} of strategy {spec!r} must be {what}"
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            make_strategy(spec, 100, 2)
 
     @pytest.mark.parametrize("spec", ["threshold:ell=inf", "threshold:ell=-inf",
                                       "threshold:ell=nan", "threshold-scaled:c=inf",
