@@ -53,13 +53,15 @@ class PoolExhausted(RuntimeError):
 
 
 def check_sizes(n: int, d: int, m: int = 0, seed: int = 0) -> None:
-    """Refuse a process with no bins, no rounds, a negative ball count or a negative seed."""
+    """Refuse a process with no bins, no rounds, a ball count outside int64 or a negative seed."""
     if n < 1:
         raise ConfigError(f"bin count must be >= 1, got {n}")
     if d < 1:
         raise ConfigError(f"thinning depth must be >= 1, got {d}")
     if m < 0:
         raise ConfigError(f"ball count must be >= 0, got {m}")
+    if m > 2**63 - 1:
+        raise ConfigError(f"ball count must be at most 2**63 - 1, got {m}")
     if seed < 0:
         raise ConfigError(f"seed must be >= 0, got {seed}")
 
@@ -130,13 +132,15 @@ def trial_int64s(n: int, d: int, m: int, strategy) -> int:
 def greedy_int64s(n: int, d: int) -> int:
     """Estimated int64 values `run_greedy_d_choice` holds at its peak.
 
-    Per bin, the int64 loads and one byte of ψ's flags; `_summary`'s
-    `bincount` reads the int64 loads without a copy.  Per block, the d pool
-    takes of at most 2¹⁶ values (or the partly served blocks they are cut
-    from), which the loop reads in place, with one 2¹⁶-value block to spare
-    for the small objects a trial makes.  Nothing grows with m or with d·n.
+    Two bytes per bin (the one-byte loads, until a bin holds 255 balls and
+    they widen, and ψ's one-byte flags); `_summary` counts the loads 2¹⁶
+    bins at a time.  Per block, the d pool takes of at most 2¹⁶ values (or
+    the partly served blocks they are cut from), which the loop reads in
+    place, with one 2¹⁶-value block to spare for the small objects a trial
+    makes.  Widening past 255 is not budgeted.  Nothing grows with m or
+    with d·n.
     """
-    return n + (n + 7) // 8 + (d + 1) * _CHUNK
+    return (2 * n + 7) // 8 + (d + 1) * _CHUNK
 
 
 def require_memory(int64s: int, what: str) -> None:
@@ -501,10 +505,11 @@ def _kernels() -> ctypes.CDLL:
                 os.remove(stale)
     lib = ctypes.CDLL(library)
     address, i64 = ctypes.c_void_p, ctypes.c_int64
-    lib.place_least_loaded.argtypes = [address] * 3 + [i64] * 3
+    for place in (lib.place_narrow, lib.place_wide):
+        place.argtypes = [address] * 3 + [i64] * 2
     for thin in (lib.thin_narrow, lib.thin_wide):
         thin.argtypes = [address] * 4 + [i64] * 3 + [address, i64, ctypes.c_double]
-    for kernel in (lib.place_least_loaded, lib.thin_narrow, lib.thin_wide):
+    for kernel in (lib.place_narrow, lib.place_wide, lib.thin_narrow, lib.thin_wide):
         kernel.restype = i64
     return lib
 
@@ -520,23 +525,33 @@ def run_greedy_d_choice(n: int, d: int, m: int, seed: int) -> TrialResult:
     The balls are placed one at a time, in ball order, by greedy.c's
     compiled loop (`_kernels`), one pool block of up to 2¹⁶ balls per call,
     which reads one take of every pool in place.  Pool takes do not depend
-    on how they are split, so the block size changes no drawn value.
+    on how they are split, so the block size changes no drawn value.  The
+    loads are one byte per bin; the loop stops at a ball whose least-loaded
+    offer already holds 255, and the loads then widen to int64, once, for
+    the rest of the block and the trial.  The top load is read from the
+    loads at the end.
     """
     check_sizes(n, d, m, seed)
     require_memory(greedy_int64s(n, d), f"a greedy trial with n={n}, d={d}, m={m}")
-    place = _kernels().place_least_loaded
-    loads = np.zeros(n, dtype=np.int64)
+    lib = _kernels()
+    place = lib.place_narrow
+    loads = np.zeros(n, dtype=np.uint8)
     seen = np.zeros(n, dtype=np.uint8)
-    top = 0
     pools, _ = make_pools(n, d, seed)
     for start in range(0, m, _CHUNK):
         k = min(_CHUNK, m - start)
         takes = [pool.take(k) for pool in pools]
-        top = place(loads.ctypes.data, seen.ctypes.data,
-                    (ctypes.c_void_p * d)(*(t.ctypes.data for t in takes)), d, k, top)
+        placed = 0
+        while True:
+            offers = (ctypes.c_void_p * d)(*(t.ctypes.data + 8 * placed for t in takes))
+            placed += place(loads.ctypes.data, seen.ctypes.data, offers, d, k - placed)
+            if placed == k:
+                break
+            loads, place = loads.astype(np.int64), lib.place_wide
         del takes  # so that no block is held while the next one is drawn
+    del pools  # their partly served blocks are freed before the summary counts the loads
     rest = [0] * (d - 1)
-    return _summary(loads, np.count_nonzero(seen), [m] + rest, [top] + rest,
+    return _summary(loads, np.count_nonzero(seen), [m] + rest, [loads.max()] + rest,
                     f"greedy-{d}-choice", seed)
 
 

@@ -1,10 +1,12 @@
 /* thinlab's per-ball loops, built once and cached by thinlab.core._kernels.
  *
- * place_least_loaded: greedy d-choice (thinlab.core.run_greedy_d_choice).
- * Places k balls in ball order: ball t is offered bins offers[j][t] for j < d
- * and goes to its least-loaded offer, the lowest bin on ties.  Ball t's
- * first offer is marked in seen.  Returns the largest load, starting from
- * top, the largest before the block.
+ * place_narrow, place_wide: one block of greedy d-choice
+ * (thinlab.core.run_greedy_d_choice), on one-byte and on int64 loads.  Places
+ * k balls in ball order: ball t is offered bins offers[j][t] for j < d and
+ * goes to its least-loaded offer, the lowest bin on ties.  Ball t's first
+ * offer is marked in seen.  Returns the balls placed: k, or, on one-byte
+ * loads, the first ball whose least-loaded offer already holds 255, which
+ * the caller places on widened loads.
  *
  * thin_narrow, thin_wide: one block of a thinning round (thinlab.core's
  * rule path), on one-byte and on int64 counts.  tally[0] is the trial of the
@@ -19,22 +21,28 @@
  */
 #include <stdint.h>
 
-int64_t place_least_loaded(int64_t *loads, uint8_t *seen, const int64_t *const *offers,
-                           int64_t d, int64_t k, int64_t top)
-{
-    for (int64_t t = 0; t < k; t++) {
-        int64_t best = offers[0][t];
-        seen[best] = 1;
-        for (int64_t j = 1; j < d; j++) {
-            int64_t bin = offers[j][t];
-            if (loads[bin] < loads[best] || (loads[bin] == loads[best] && bin < best))
-                best = bin;
-        }
-        if (++loads[best] > top)
-            top = loads[best];
-    }
-    return top;
+#define PLACE(name, load_t, full)                                                        \
+int64_t name(load_t *loads, uint8_t *seen, const int64_t *const *offers, int64_t d,      \
+             int64_t k)                                                                  \
+{                                                                                        \
+    int64_t t;                                                                           \
+    for (t = 0; t < k; t++) {                                                            \
+        int64_t best = offers[0][t];                                                     \
+        seen[best] = 1;                                                                  \
+        for (int64_t j = 1; j < d; j++) {                                                \
+            int64_t bin = offers[j][t];                                                  \
+            if (loads[bin] < loads[best] || (loads[bin] == loads[best] && bin < best))   \
+                best = bin;                                                              \
+        }                                                                                \
+        if (loads[best] == (full))                                                       \
+            break;                                                                       \
+        loads[best]++;                                                                   \
+    }                                                                                    \
+    return t;                                                                            \
 }
+
+PLACE(place_narrow, uint8_t, UINT8_MAX)
+PLACE(place_wide, int64_t, INT64_MAX)
 
 #define THIN(name, count_t, full)                                                        \
 int64_t name(count_t *row, count_t *loads, const int64_t *bins, const double *coins,     \

@@ -34,8 +34,8 @@ def predicted_max(n: float, d: int) -> float:
 
 def predicted_bounds(n: float, d: int, eps: float) -> tuple[float, float]:
     """(upper, lower) = ((d+eps)*ell, (d-eps)*ell), bracketing d*ell."""
-    if eps < 0:
-        raise ConfigError(f"eps must be >= 0, got {eps}")
+    if not 0 <= eps < math.inf:
+        raise ConfigError(f"eps must be finite and >= 0, got {eps}")
     l = ell(n, d)
     return (d + eps) * l, (d - eps) * l
 

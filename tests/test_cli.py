@@ -116,6 +116,13 @@ class TestRunCommand:
         assert f"seed must be >= 0, got {seed}" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command,size", [("run", "--n"), ("sweep", "--n-grid")],
+                             ids=["run", "sweep"])
+    def test_ball_count_past_int64_message(self, capsys, command, size):
+        assert run_cli(command, size, "10", "--rho", "1e400") == 2
+        assert capsys.readouterr().err == (
+            f"thinlab: error: ball count must be at most 2**63 - 1, got {10**401}\n")
+
     def test_negative_seed_in_config_file(self, tmp_path, capsys):
         config = tmp_path / "config.json"
         config.write_text(json.dumps({"n": 100, "seed": -1, "trials": 2}))
@@ -195,6 +202,13 @@ class TestTheoryCommand:
         assert run_cli("theory", "--n", "1000000", "--d", "3") == 0
         out = capsys.readouterr().out
         assert "ell" in out and "beta_3" in out
+
+    @pytest.mark.parametrize("eps", ["nan", "inf"])
+    def test_non_finite_eps_message(self, capsys, eps):
+        assert run_cli("theory", "--n", "100", "--d", "2", "--eps", eps) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"thinlab: error: eps must be finite and >= 0, got {eps}\n"
+        assert captured.out == ""
 
     def test_domain_error_exit(self):
         assert run_cli("theory", "--n", "2", "--d", "2") == 2

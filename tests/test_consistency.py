@@ -52,6 +52,19 @@ def naive_greedy_run(n, d, m, seed):
     return _result_from_state(state, f"greedy-{d}-choice", seed)
 
 
+def first_full_ball(n, d, seed):
+    """Index of greedy d-choice's first ball whose least-loaded offer already holds 255 balls."""
+    pools, _ = make_pools(n, d, seed)
+    loads, t = [0] * n, 0
+    while True:
+        for offers in zip(*(pool.take(1 << 16).tolist() for pool in pools)):
+            best = min(offers, key=lambda b: (loads[b], b))
+            if loads[best] == 255:
+                return t
+            loads[best] += 1
+            t += 1
+
+
 def naive_rule_run(n, d, m, cap, beta, rounds, pools, aux):
     """A round rule run one ball at a time with lists, as `RoundRule`'s docstring states it.
 
@@ -215,6 +228,18 @@ class TestGreedyAgreement:
     def test_sparse(self):
         # many bins and several 2**16-ball blocks, the last one partial
         self.check(10**5, 2, 10**6, seed=72)
+
+    # The seeds are the first found by scanning seeds upward from 0 at n = 258,
+    # where a bin first reaches 255 balls near ball 2**16.  The loads widen on
+    # the second block's first ball, on the first block's last ball, or on
+    # the last ball of a trial of one partial block.
+    @pytest.mark.parametrize("n,d,m,seed,ball", [
+        (258, 2, 2**17 + 1000, 636, 2**16), (258, 3, 2**17 + 1000, 17, 2**16),
+        (258, 3, 2**17 + 1000, 129, 2**16 - 1), (258, 2, 65432, 0, 65431)],
+        ids=["first-2", "first-3", "last-3", "last-of-trial-2"])
+    def test_widening_at_a_block_edge(self, n, d, m, seed, ball):
+        assert first_full_ball(n, d, seed) == ball
+        assert self.check(n, d, m, seed).max_load > 255
 
 
 class TestBatchedAgreement:

@@ -447,6 +447,17 @@ class TestBoundaryChecks:
         with pytest.raises(ConfigError, match=message):
             run_greedy_d_choice(n, d, m, 1)
 
+    @pytest.mark.parametrize("run", [
+        lambda m: run_trial(10, 2, m, ThresholdStrategy(1.5), 1),
+        lambda m: run_greedy_d_choice(10, 2, m, 1),
+        lambda m: simulate_max_load_counts(10, 2, m, ThresholdStrategy(1.5), 10, 1),
+        lambda m: per_trial_max_load_counts(10, 2, m, ThresholdStrategy(1.5), 10, 1),
+    ], ids=["trial", "greedy", "batched-counts", "per-trial-counts"])
+    def test_ball_count_past_int64(self, run):
+        with pytest.raises(ConfigError, match=r"ball count must be at most 2\*\*63 - 1, got "
+                                              f"{2**63}$"):
+            run(2**63)
+
     # with no balls nothing is drawn, so only the check refuses the seed
     @pytest.mark.parametrize("m", [0, 3])
     @pytest.mark.parametrize("run", [

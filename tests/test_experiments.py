@@ -215,6 +215,13 @@ class TestGreedyDChoice:
             res = run_greedy_d_choice(10**6, 2, 10**6, seed=mix_seed(3, j))
             assert 2 <= res.max_load <= 6
 
+    def test_kernels_compile_without_warnings(self):
+        # every instantiation of PLACE and THIN, with warnings as errors
+        compiled = subprocess.run(["cc", "-O2", "-Wall", "-Wextra", "-Werror", "-fsyntax-only",
+                                   core._KERNEL_SOURCE], capture_output=True, text=True,
+                                  timeout=60)
+        assert compiled.returncode == 0, compiled.stderr
+
     @pytest.fixture
     def empty_cache(self, tmp_path, monkeypatch):
         """greedy.c copied into tmp_path, so its kernels are built into an empty __pycache__."""
