@@ -8,12 +8,8 @@ from .experiments import (AggregateResult, ExperimentConfig, balls_from_rho,
 from .oracle import (ExactDistribution, OracleBudgetExceeded, compare_empirical,
                      exact_distribution, multinomial_max_load_exact)
 from .strategies import (AlwaysAccept, BetaThinning, Strategy,
-                         ThresholdStrategy, beta_thinning, make_strategy,
-                         scaled_threshold, threshold_for)
-from .theory import (BetaSequence, LowerBoundCascade, PoissonizationReport,
-                     beta_sequence, ell, ell_relation, lemma_max_bound,
-                     lemma_nonempty_bound, lower_bound_sequences,
-                     poissonization_bound_check, predicted_bounds,
+                         ThresholdStrategy, make_strategy)
+from .theory import (BetaSequence, beta_sequence, ell, predicted_bounds,
                      predicted_max)
 
 __version__ = "0.1.0"

@@ -13,7 +13,7 @@ import math
 import sys
 
 from .core import ConfigError
-from .experiments import (ExperimentConfig, emit, format_results, parse_rho,
+from .experiments import (ExperimentConfig, emit, format_results, rho_float,
                           run_experiment, sweep)
 from .oracle import DEFAULT_NODE_BUDGET, OracleBudgetExceeded, exact_distribution
 from .strategies import make_strategy
@@ -133,7 +133,9 @@ def cmd_run_or_sweep(args) -> int:
 
 
 def cmd_theory(args) -> int:
-    rho = float(parse_rho(args.rho))
+    if args.n > sys.float_info.max:
+        raise ConfigError(f"n must be at most the largest float, got {args.n}")
+    rho = rho_float(args.rho)
     l = ell(args.n, args.d)
     upper, lower = predicted_bounds(args.n, args.d, args.eps)
     betas = beta_sequence(args.n, args.d, rho).values

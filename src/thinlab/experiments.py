@@ -14,6 +14,7 @@ import csv
 import io
 import json
 import math
+import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields, replace
@@ -61,6 +62,14 @@ def parse_rho(rho: str) -> Fraction:
     if frac <= 0:
         raise ConfigError(f"rho must be positive, got {rho}")
     return frac
+
+
+def rho_float(rho: str) -> float:
+    """rho as a float; refuses one that rounds to 0 or past the largest float."""
+    frac = parse_rho(rho)
+    if frac > sys.float_info.max or float(frac) == 0:
+        raise ConfigError(f"rho must be a positive number within a float's range, got {rho!r}")
+    return float(frac)
 
 
 def balls_from_rho(rho: str, n: int) -> int:
@@ -125,7 +134,7 @@ def aggregate(trial_results: list[TrialResult], config: ExperimentConfig,
     if n >= 3:
         l = ell(n, d)
         ratio = (sum(maxes) / trials) / (d * l) if m else 0.0
-        betas = beta_sequence(n, d, float(Fraction(config.rho))).values
+        betas = beta_sequence(n, d, rho_float(config.rho)).values
         ok = sum(
             1 for r in trial_results
             if all(r.rejection_counters[i] <= betas[i] for i in range(1, d))
@@ -166,6 +175,7 @@ def run_experiment(config: ExperimentConfig, keep_trials: bool = False):
         raise ConfigError("run_experiment needs a single n (use sweep for grids)")
     m = balls_from_rho(config.rho, config.n)
     check_sizes(config.n, config.d, m)
+    rho_float(config.rho)  # the aggregate's beta sequence takes rho as a float
     strategy = make_strategy(config.strategy, config.n, config.d)
     concurrent = min(config.threads, config.trials)
     require_memory(concurrent * trial_int64s(config.n, config.d, m, strategy),

@@ -65,6 +65,8 @@ def exact_distribution(n: int, d: int, m: int, strategy,
     visited node_budget suggestion branches.
     """
     check_sizes(n, d, m)
+    if node_budget < 1:
+        raise ConfigError(f"node budget must be >= 1, got {node_budget}")
     if not strategy.deterministic:
         raise ConfigError(f"strategy {strategy.name!r} is randomized; the oracle only "
                           "enumerates deterministic decision rules")

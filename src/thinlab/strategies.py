@@ -103,30 +103,6 @@ class BetaThinning(Strategy):
         self.name = f"beta-thinning:beta={self.beta!r},cap={self.cap}"
 
 
-def threshold_for(n: int, d: int) -> ThresholdStrategy:
-    """Threshold strategy at the optimal ell(n, d)."""
-    return ThresholdStrategy(ell(n, d))
-
-
-def scaled_threshold(c: float, n: int, d: int) -> ThresholdStrategy:
-    """Threshold strategy with ell scaled by c; c=1 is the optimal rule.
-
-    Used to probe empirically that no rescaling beats c=1: small c forces
-    near-empty-bin acceptances (many retries), large c degenerates to
-    one-choice.
-    """
-    if c <= 0:
-        raise ConfigError(f"scale must be positive, got {c}")
-    return ThresholdStrategy(c * ell(n, d), name=f"threshold-scaled:c={float(c)!r}")
-
-
-def beta_thinning(beta: float, d: int, cap: int) -> BetaThinning:
-    """Beta-thinning baseline; defined for two rounds only."""
-    if d != 2:
-        raise ConfigError(f"beta-thinning is a two-round baseline, got d={d}")
-    return BetaThinning(beta, cap)
-
-
 def make_strategy(spec: str, n: int, d: int) -> Strategy:
     """Build a strategy from its selection string.
 
@@ -155,14 +131,20 @@ def make_strategy(spec: str, n: int, d: int) -> Strategy:
             _reject_unknown(args, {"ell"}, spec)
             if "ell" in args:
                 return ThresholdStrategy(args["ell"], name=f"threshold:ell={args['ell']!r}")
-            return threshold_for(n, d)
+            return ThresholdStrategy(ell(n, d))
         if kind == "threshold-scaled":
             _reject_unknown(args, {"c"}, spec)
-            return scaled_threshold(args["c"], n, d)
+            c = args["c"]
+            if c <= 0:
+                raise ConfigError(f"scale must be positive, got {c}")
+            return ThresholdStrategy(c * ell(n, d), name=f"threshold-scaled:c={c!r}")
         if kind == "beta-thinning":
             _reject_unknown(args, {"beta", "cap"}, spec)
             cap = args["cap"] if "cap" in args else math.floor(ell(n, d))
-            return beta_thinning(args["beta"], d, cap)
+            beta = args["beta"]
+            if d != 2:
+                raise ConfigError(f"beta-thinning is a two-round baseline, got d={d}")
+            return BetaThinning(beta, cap)
     except KeyError as exc:
         raise ConfigError(f"strategy {spec!r} is missing argument {exc}") from None
     raise ConfigError(f"unknown strategy {spec!r}")

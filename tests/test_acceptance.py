@@ -23,9 +23,9 @@ from thinlab.core import mix_seed, run_greedy_d_choice, run_trial
 from thinlab.experiments import ExperimentConfig, emit, run_experiment
 from thinlab.oracle import compare_empirical, exact_distribution
 from thinlab.strategies import AlwaysAccept, ThresholdStrategy, make_strategy
-from thinlab.theory import (beta_sequence, ell, ell_relation,
-                            lower_bound_sequences, poissonization_bound_check,
-                            real_factorial)
+from thinlab.theory import beta_sequence, ell, real_factorial
+
+from paper_lemmas import ell_relation, lower_bound_sequences, poissonization_bound_check
 
 CRIT2_SEED = 1009
 

@@ -3,7 +3,10 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from thinlab import experiments
 from thinlab.cli import main
 
 
@@ -123,6 +126,15 @@ class TestRunCommand:
         assert capsys.readouterr().err == (
             f"thinlab: error: ball count must be at most 2**63 - 1, got {10**401}\n")
 
+    def test_underflowing_rho_refused_before_any_trial(self, capsys, monkeypatch):
+        def no_trial(*args):
+            raise AssertionError("a trial ran")
+
+        monkeypatch.setattr(experiments, "run_trial", no_trial)
+        assert run_cli("run", "--n", "10", "--rho", "1e-400") == 2
+        assert capsys.readouterr().err == ("thinlab: error: rho must be a positive number "
+                                           "within a float's range, got '1e-400'\n")
+
     def test_negative_seed_in_config_file(self, tmp_path, capsys):
         config = tmp_path / "config.json"
         config.write_text(json.dumps({"n": 100, "seed": -1, "trials": 2}))
@@ -213,6 +225,42 @@ class TestTheoryCommand:
     def test_domain_error_exit(self):
         assert run_cli("theory", "--n", "2", "--d", "2") == 2
 
+    def test_n_past_the_largest_float_message(self, capsys):
+        assert run_cli("theory", "--n", str(10**400), "--d", "2") == 2
+        captured = capsys.readouterr()
+        assert captured.err == (f"thinlab: error: n must be at most the largest float, "
+                                f"got {10**400}\n")
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("rho", ["1e400", "1e-400"])
+    def test_rho_outside_float_range_message(self, capsys, rho):
+        assert run_cli("theory", "--n", "100", "--d", "2", "--rho", rho) == 2
+        captured = capsys.readouterr()
+        assert captured.err == ("thinlab: error: rho must be a positive number within "
+                                f"a float's range, got {rho!r}\n")
+        assert captured.out == ""
+
+    def test_beta_sequence_past_the_largest_float_message(self, capsys):
+        assert run_cli("theory", "--n", "100", "--d", "3", "--rho", "1e300") == 2
+        captured = capsys.readouterr()
+        assert captured.err == ("thinlab: error: the beta sequence passes the largest "
+                                "float at n=100, d=3, rho=1e+300\n")
+        assert captured.out == ""
+
+    def test_huge_eps_gives_zero_tail_rates(self, capsys):
+        assert run_cli("theory", "--n", "100", "--d", "2", "--eps", "1000",
+                       "--format", "csv") == 0
+        header, row = capsys.readouterr().out.strip().split("\n")
+        cols = dict(zip(header.split(","), row.split(",")))
+        assert cols["upper_tail_rate"] == cols["lower_tail_rate"] == "0.0"
+
+    @settings(max_examples=200, deadline=None)
+    @given(n=st.integers(3, 10**400), d=st.integers(1, 12), eps=st.floats(0, 1e308),
+           rho=st.builds("{}e{}".format, st.integers(1, 9), st.integers(-400, 399)))
+    def test_any_float_range_input_exits_cleanly(self, n, d, eps, rho):
+        assert run_cli("theory", "--n", str(n), "--d", str(d), "--eps", repr(eps),
+                       "--rho", rho) in (0, 2)
+
     def test_fraction_rho(self, capsys):
         assert run_cli("theory", "--n", "1000", "--d", "2", "--rho", "1/2",
                        "--format", "csv") == 0
@@ -243,6 +291,11 @@ class TestOracleCommand:
         assert run_cli("oracle", "--n", "3", "--d", "2", "--m", "3",
                        "--strategy", "threshold:ell=0.5",
                        "--node-budget", "10") == 2
+
+    def test_node_budget_below_one_message(self, capsys):
+        assert run_cli("oracle", "--n", "2", "--d", "2", "--m", "2",
+                       "--strategy", "threshold:ell=0.5", "--node-budget", "-1") == 2
+        assert capsys.readouterr().err == "thinlab: error: node budget must be >= 1, got -1\n"
 
     def test_randomized_strategy_rejected(self):
         assert run_cli("oracle", "--n", "2", "--d", "2", "--m", "2",

@@ -17,7 +17,7 @@ from thinlab.core import (AUX_TAG, POOL_TAG, ConfigError, RoundRule, _generator,
                           run_greedy_d_choice, run_trial, simulate_max_load_counts)
 from thinlab.oracle import compare_empirical, exact_distribution, multinomial_max_load_exact
 from thinlab.strategies import (AlwaysAccept, BetaThinning, Strategy, ThresholdStrategy,
-                                threshold_for)
+                                make_strategy)
 
 from test_core import reference_step_run
 from test_strategies import MaskOnly
@@ -178,7 +178,7 @@ class TestNaiveAgreement:
         # bins get more than cap+1 offers, so few balls are ranked, as at
         # n = 10**6.
         n = m = 20_000
-        reached = self.check(n, d, m, threshold_for(n, d), seed)
+        reached = self.check(n, d, m, make_strategy("threshold", n, d), seed)
         assert reached[1] < m // 20
 
     @pytest.mark.parametrize("beta,cap,seed", [(0.3, 0, 51), (0.7, 1, 52),

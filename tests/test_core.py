@@ -18,7 +18,7 @@ from thinlab.core import (ConfigError, DecisionRecord, Pool, PoolExhausted,
                           step, trial_int64s)
 from thinlab.experiments import ExperimentConfig, run_experiment
 from thinlab.strategies import (AlwaysAccept, BetaThinning, ThresholdStrategy,
-                                make_strategy, threshold_for)
+                                make_strategy)
 
 
 def cap0_threshold():
@@ -499,7 +499,8 @@ class TestMemoryEstimates:
     @pytest.mark.parametrize("ell_value", [0.5, 1.5, None])
     def test_threshold_trial(self, d, ell_value):
         n = self.N
-        strat = threshold_for(n, d) if ell_value is None else ThresholdStrategy(ell_value)
+        strat = (make_strategy("threshold", n, d) if ell_value is None
+                 else ThresholdStrategy(ell_value))
         peak = traced_peak(lambda: run_trial(n, d, n, strat, seed=1))
         assert 8 * trial_int64s(n, d, n, strat) >= peak
 
@@ -549,7 +550,7 @@ class TestTrialPeak:
 
     def test_threshold_trial_at_a_million_bins(self):
         n = 10**6
-        peak = traced_peak(lambda: run_trial(n, 3, n, threshold_for(n, 3), 1))
+        peak = traced_peak(lambda: run_trial(n, 3, n, make_strategy("threshold", n, 3), 1))
         assert peak <= 8 * 3 * n
 
     def test_beta_thinning_trial_at_a_million_bins(self):
@@ -561,7 +562,7 @@ class TestTrialPeak:
 
     def test_batched_threshold_trials(self):
         n, trials = 1000, 200
-        strat = threshold_for(n, 3)
+        strat = make_strategy("threshold", n, 3)
         peak = traced_peak(lambda: simulate_max_load_counts(n, 3, n, strat, trials, 1))
         assert peak <= 8 * 3 * trials * n
 

@@ -86,6 +86,11 @@ class TestExactDistribution:
         with pytest.raises(OracleBudgetExceeded):
             exact_distribution(3, 2, 3, ThresholdStrategy(0.5), node_budget=10)
 
+    def test_node_budget_below_one_refused(self):
+        # refused even where the walk would visit no node
+        with pytest.raises(ConfigError, match="node budget must be >= 1, got 0"):
+            exact_distribution(2, 2, 0, ThresholdStrategy(0.5), node_budget=0)
+
     def test_as_floats(self):
         dist = exact_distribution(2, 2, 2, ThresholdStrategy(0.5))
         assert dist.as_floats() == {1: 0.75, 2: 0.25}

@@ -12,8 +12,7 @@ from hypothesis import strategies as st
 from thinlab.core import (ConfigError, _result_from_state, make_pools, new_state, run_trial,
                           simulate_max_load_counts, step)
 from thinlab.strategies import (AlwaysAccept, BetaThinning, ThresholdStrategy,
-                                beta_thinning, make_strategy, scaled_threshold,
-                                threshold_for)
+                                make_strategy)
 from thinlab.theory import ell
 
 from test_core import reference_step_run
@@ -189,7 +188,7 @@ class TestMaskOnlyStrategy:
 class TestBetaThinning:
     def test_requires_two_rounds(self):
         with pytest.raises(ConfigError):
-            beta_thinning(0.5, d=3, cap=1)
+            make_strategy("beta-thinning:beta=0.5,cap=1", 100, 3)
 
     def test_beta_range(self):
         with pytest.raises(ConfigError):
@@ -285,15 +284,15 @@ class TestBetaThinningLaw:
 class TestScaledThreshold:
     def test_c_one_is_identity(self):
         n, d = 100, 2
-        a = run_trial(n, d, 300, threshold_for(n, d), seed=6)
-        b = run_trial(n, d, 300, scaled_threshold(1.0, n, d), seed=6)
+        a = run_trial(n, d, 300, make_strategy("threshold", n, d), seed=6)
+        b = run_trial(n, d, 300, make_strategy("threshold-scaled:c=1.0", n, d), seed=6)
         assert a.histogram == b.histogram
         assert a.rejection_counters == b.rejection_counters
 
     def test_huge_c_is_one_choice(self):
         n, d = 100, 2
         a = run_trial(n, d, 300, AlwaysAccept(), seed=6)
-        b = run_trial(n, d, 300, scaled_threshold(1e9, n, d), seed=6)
+        b = run_trial(n, d, 300, make_strategy("threshold-scaled:c=1e9", n, d), seed=6)
         assert a.histogram == b.histogram
         assert b.rejection_counters == (300, 0)
 
@@ -301,7 +300,7 @@ class TestScaledThreshold:
         # cap 0: r_2 counts primaries into round-1-occupied bins; its mean
         # follows the exact occupancy recursion E[k_{t+1}] = E[k_t] + 1 - E[k_t]/n
         n, m, trials = 100, 50, 400
-        strat = scaled_threshold(0.1, n, 2)
+        strat = make_strategy("threshold-scaled:c=0.1", n, 2)
         assert strat.cap == 0
         expected_k = 0.0
         expected_r2 = 0.0
@@ -317,7 +316,7 @@ class TestScaledThreshold:
 
     def test_rejects_nonpositive_scale(self):
         with pytest.raises(ConfigError):
-            scaled_threshold(0.0, 100, 2)
+            make_strategy("threshold-scaled:c=0.0", 100, 2)
 
 
 class TestMakeStrategy:

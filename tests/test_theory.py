@@ -10,11 +10,11 @@ import numpy as np
 import pytest
 
 from thinlab.core import ConfigError
-from thinlab.theory import (beta_sequence, ell, ell_relation, lemma_max_bound,
-                            lemma_nonempty_bound, lower_bound_sequences,
-                            lower_tail_probability, poissonization_bound_check,
-                            predicted_bounds, predicted_max,
-                            upper_tail_probability)
+from thinlab.theory import (beta_sequence, ell, lower_tail_probability,
+                            predicted_bounds, predicted_max, upper_tail_probability)
+
+from paper_lemmas import (ell_relation, lemma_max_bound, lemma_nonempty_bound,
+                          lower_bound_sequences, poissonization_bound_check)
 
 # mpmath @ 40 dps
 ELL_1E6_D1 = 5.261464353591486
