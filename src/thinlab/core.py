@@ -133,12 +133,12 @@ def greedy_int64s(n: int, d: int) -> int:
     """Estimated int64 values `run_greedy_d_choice` holds at its peak.
 
     Two bytes per bin (the one-byte loads, until a bin holds 255 balls and
-    they widen, and ψ's one-byte flags); `_summary` counts the loads 2¹⁶
-    bins at a time.  Per block, the d pool takes of at most 2¹⁶ values (or
-    the partly served blocks they are cut from), which the loop reads in
-    place, with one 2¹⁶-value block to spare for the small objects a trial
-    makes.  Widening past 255 is not budgeted.  Nothing grows with m or
-    with d·n.
+    they widen, and ψ's one-byte flags); `_summary`'s tally reads the loads
+    in place into 256 counts.  Per block, the d pool takes of at most 2¹⁶
+    values (or the partly served blocks they are cut from), which the loop
+    reads in place, with one 2¹⁶-value block to spare for the small objects
+    a trial makes.  Widening past 255 is not budgeted.  Nothing grows with m
+    or with d·n.
     """
     return (2 * n + 7) // 8 + (d + 1) * _CHUNK
 
@@ -332,16 +332,20 @@ def _summary(loads: np.ndarray, psi_count: int, rejection_counters, round_load_m
     """The TrialResult of a finished trial: its loads, ψ, r_1..r_d and per-round maxima.
 
     The load histogram also gives the max load (its last value) and φ (the
-    bins not at load 0).  It is counted over 2¹⁶ bins at a time, since
-    `bincount` widens what it counts to int64.
+    bins not at load 0).  greedy.c's tally counts the loads in place, in one
+    pass: `tally_narrow` one-byte loads into 256 counts, `tally_wide` int64
+    loads into as many counts as the top load needs.
     """
     r = tuple(int(v) for v in rejection_counters)
-    counts = np.bincount(loads[:_CHUNK])
-    for start in range(_CHUNK, loads.size, _CHUNK):
-        more = np.bincount(loads[start:start + _CHUNK], minlength=counts.size)
-        more[:counts.size] += counts
-        counts = more
-    counts = counts.tolist()
+    if loads.dtype == np.uint8:
+        loads, tally, size = np.ascontiguousarray(loads), _kernels().tally_narrow, 256
+    else:
+        loads = np.ascontiguousarray(loads, np.int64)
+        if loads.min() < 0:  # the tally indexes counts by load
+            raise ValueError(f"loads must be >= 0, got {loads.min()}")
+        tally, size = _kernels().tally_wide, int(loads.max()) + 1
+    counts = (ctypes.c_int64 * size)()  # zeroed, and sliced into a list of ints
+    counts = counts[:tally(loads.ctypes.data, loads.size, counts, size) + 1]
     return TrialResult(
         n=loads.size,
         d=len(r),
@@ -509,7 +513,10 @@ def _kernels() -> ctypes.CDLL:
         place.argtypes = [address] * 3 + [i64] * 2
     for thin in (lib.thin_narrow, lib.thin_wide):
         thin.argtypes = [address] * 4 + [i64] * 3 + [address, i64, ctypes.c_double]
-    for kernel in (lib.place_narrow, lib.place_wide, lib.thin_narrow, lib.thin_wide):
+    for tally in (lib.tally_narrow, lib.tally_wide):
+        tally.argtypes = [address, i64, address, i64]
+    for kernel in (lib.place_narrow, lib.place_wide, lib.thin_narrow, lib.thin_wide,
+                   lib.tally_narrow, lib.tally_wide):
         kernel.restype = i64
     return lib
 

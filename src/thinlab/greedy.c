@@ -3,10 +3,12 @@
  * place_narrow, place_wide: one block of greedy d-choice
  * (thinlab.core.run_greedy_d_choice), on one-byte and on int64 loads.  Places
  * k balls in ball order: ball t is offered bins offers[j][t] for j < d and
- * goes to its least-loaded offer, the lowest bin on ties.  Ball t's first
- * offer is marked in seen.  Returns the balls placed: k, or, on one-byte
- * loads, the first ball whose least-loaded offer already holds 255, which
- * the caller places on widened loads.
+ * goes to its least-loaded offer, the lowest bin on ties.  The least (load,
+ * bin) pair is selected with masks, not branches, since which offer is
+ * least is close to a coin flip, and the least load is kept in a local.
+ * Ball t's first offer is marked in seen.  Returns the balls placed: k, or,
+ * on one-byte loads, the first ball whose least-loaded offer already holds
+ * 255, which the caller places on widened loads.
  *
  * thin_narrow, thin_wide: one block of a thinning round (thinlab.core's
  * rule path), on one-byte and on int64 counts.  tally[0] is the trial of the
@@ -18,6 +20,15 @@
  * Otherwise rejected[trial] counts it.  Returns the balls placed: k, or, on
  * one-byte counts, the first ball whose key's load is already 255, which the
  * caller places on widened counts.
+ *
+ * tally_narrow, tally_wide: a trial's load histogram (thinlab.core._summary),
+ * from one-byte and from int64 loads.  Adds each of the n loads to its entry
+ * of counts[size], which is zeroed and longer than the top load, and returns
+ * the top load: the last nonzero entry, or 0.  A row of at least LONG_ROW
+ * loads on at most 256 counts is read in strides of four, each load of a
+ * stride into its own partial tally, so that equal neighbours do not wait on
+ * each other's store; the loads past the last full stride are counted
+ * directly, as a short row is.
  */
 #include <stdint.h>
 
@@ -28,15 +39,19 @@ int64_t name(load_t *loads, uint8_t *seen, const int64_t *const *offers, int64_t
     int64_t t;                                                                           \
     for (t = 0; t < k; t++) {                                                            \
         int64_t best = offers[0][t];                                                     \
+        load_t least = loads[best];                                                      \
         seen[best] = 1;                                                                  \
         for (int64_t j = 1; j < d; j++) {                                                \
             int64_t bin = offers[j][t];                                                  \
-            if (loads[bin] < loads[best] || (loads[bin] == loads[best] && bin < best))   \
-                best = bin;                                                              \
+            load_t load = loads[bin];                                                    \
+            int64_t take = -(int64_t)((load < least)                                     \
+                                      | ((load == least) & (bin < best)));               \
+            best ^= (best ^ bin) & take;                                                 \
+            least ^= (least ^ load) & take;                                              \
         }                                                                                \
-        if (loads[best] == (full))                                                       \
+        if (least == (full))                                                             \
             break;                                                                       \
-        loads[best]++;                                                                   \
+        loads[best] = least + 1;                                                         \
     }                                                                                    \
     return t;                                                                            \
 }
@@ -73,3 +88,31 @@ int64_t name(count_t *row, count_t *loads, const int64_t *bins, const double *co
 
 THIN(thin_narrow, uint8_t, UINT8_MAX)
 THIN(thin_wide, int64_t, INT64_MAX)
+
+
+#define LONG_ROW 1024
+
+#define TALLY(name, load_t)                                                              \
+int64_t name(const load_t *loads, int64_t n, int64_t *counts, int64_t size)              \
+{                                                                                        \
+    int64_t i = 0, top = size - 1;                                                       \
+    if (n >= LONG_ROW && size <= 256) {                                                  \
+        int64_t part[4][256] = {{0}};                                                    \
+        for (; i + 4 <= n; i += 4) {                                                     \
+            part[0][loads[i]]++;                                                         \
+            part[1][loads[i + 1]]++;                                                     \
+            part[2][loads[i + 2]]++;                                                     \
+            part[3][loads[i + 3]]++;                                                     \
+        }                                                                                \
+        for (int64_t v = 0; v < size; v++)                                               \
+            counts[v] += part[0][v] + part[1][v] + part[2][v] + part[3][v];              \
+    }                                                                                    \
+    for (; i < n; i++)                                                                   \
+        counts[loads[i]]++;                                                              \
+    while (top > 0 && counts[top] == 0)                                                  \
+        top--;                                                                           \
+    return top;                                                                          \
+}
+
+TALLY(tally_narrow, uint8_t)
+TALLY(tally_wide, int64_t)

@@ -30,11 +30,19 @@ def predicted_max(n: float, d: int) -> float:
 
 
 def predicted_bounds(n: float, d: int, eps: float) -> tuple[float, float]:
-    """(upper, lower) = ((d+eps)*ell, (d-eps)*ell), bracketing d*ell."""
+    """(upper, lower) = ((d+eps)*ell, (d-eps)*ell), bracketing d*ell.
+
+    Refuses a band that passes the largest float.  For eps > d the lower end
+    is negative: a vacuous bound, returned as computed.
+    """
     if not 0 <= eps < math.inf:
         raise ConfigError(f"eps must be finite and >= 0, got {eps}")
     l = ell(n, d)
-    return (d + eps) * l, (d - eps) * l
+    upper, lower = (d + eps) * l, (d - eps) * l
+    if not math.isfinite(upper):  # |lower| <= upper, since eps >= 0
+        raise ConfigError(f"the (d ± eps)·ell band passes the largest float at n={n}, d={d}, "
+                          f"eps={eps!r}")
+    return upper, lower
 
 
 def real_factorial(x: float) -> float:

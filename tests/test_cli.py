@@ -247,6 +247,13 @@ class TestTheoryCommand:
                                 "float at n=100, d=3, rho=1e+300\n")
         assert captured.out == ""
 
+    def test_band_past_the_largest_float_message(self, capsys):
+        assert run_cli("theory", "--n", str(10**24), "--d", "1", "--eps", "1e308") == 2
+        captured = capsys.readouterr()
+        assert captured.err == ("thinlab: error: the (d ± eps)·ell band passes the largest "
+                                f"float at n={10**24}, d=1, eps=1e+308\n")
+        assert captured.out == ""
+
     def test_huge_eps_gives_zero_tail_rates(self, capsys):
         assert run_cli("theory", "--n", "100", "--d", "2", "--eps", "1000",
                        "--format", "csv") == 0

@@ -4,6 +4,7 @@ import math
 import os
 import platform
 import tracemalloc
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
@@ -12,7 +13,7 @@ import pytest
 
 from thinlab import core
 from thinlab.core import (ConfigError, DecisionRecord, Pool, PoolExhausted,
-                          _result_from_state, greedy_int64s, make_pools, mix_seed,
+                          _result_from_state, _summary, greedy_int64s, make_pools, mix_seed,
                           new_state, occurrence_rank, per_trial_max_load_counts,
                           run_greedy_d_choice, run_trial, simulate_max_load_counts,
                           step, trial_int64s)
@@ -159,6 +160,57 @@ class TestRunTrial:
         p2 = counts.get(2, 0) / trials
         se = math.sqrt(0.25 * 0.75 / trials)
         assert abs(p2 - 0.25) <= 4 * se
+
+
+# greedy.c's tally: around its stride of 4, its switch to partial tallies at 1024 bins,
+# and 2**16 and 2 * 2**16 bins
+SUMMARY_SIZES = [1, 2, 3, 4, 5, 7, 8, 9, 1023, 1024, 1025, 1027, 1028, 1029,
+                 2**16 - 1, 2**16, 2**16 + 1, 2**17 - 1, 2**17, 2**17 + 1]
+
+
+class TestSummary:
+    """`_summary`'s histogram, max load and φ against a Counter of the loads."""
+
+    @staticmethod
+    def check(loads):
+        res = _summary(loads, 0, [int(loads.sum())], [0], "loads", 0)
+        counter = Counter(loads.tolist())
+        assert res.histogram == counter
+        assert list(res.histogram) == sorted(counter)
+        assert res.max_load == max(counter)
+        assert res.phi == loads.size - counter[0]
+        assert res.n == loads.size
+
+    @pytest.mark.parametrize("size", SUMMARY_SIZES)
+    @pytest.mark.parametrize("dtype, extremes", [(np.uint8, (0, 254, 255)),
+                                                 (np.int64, (0, 254, 255)),
+                                                 (np.int64, (0, 256, 1000))],
+                             ids=["uint8", "int64", "int64-past-255"])
+    def test_matches_a_counter(self, size, dtype, extremes):
+        rng = np.random.default_rng(size)
+        loads = rng.poisson(1.0, size).astype(dtype)
+        # the extremes at the first, middle and last bin (the last shares the first at size 1-2)
+        loads[[0, size // 2, size - 1]] = extremes
+        self.check(loads)
+        loads[rng.integers(0, size, 3)] = extremes
+        self.check(loads)
+
+    @pytest.mark.parametrize("size", [1, 3, 1024, 1029, 2**16 + 1])
+    @pytest.mark.parametrize("dtype", [np.uint8, np.int64], ids=["uint8", "int64"])
+    def test_all_zero_loads(self, size, dtype):
+        res = _summary(np.zeros(size, dtype), 0, [0], [0], "loads", 0)
+        assert res.max_load == 0 and res.phi == 0
+        assert res.histogram == {0: size}
+
+    @pytest.mark.parametrize("dtype", [np.uint8, np.int64], ids=["uint8", "int64"])
+    def test_strided_loads(self, dtype):
+        # the tally reads the loads by address, so a strided view is made contiguous first
+        loads = np.arange(4099, dtype=dtype) % 7
+        self.check(loads[::3])
+
+    def test_negative_load_refused(self):
+        with pytest.raises(ValueError, match="loads must be >= 0, got -1"):
+            _summary(np.array([1, -1, 0]), 0, [0], [0], "loads", 0)
 
 
 def reference_step_run(n, d, m, strategy, seed):

@@ -1,5 +1,6 @@
 """Harness tests: reproducibility, aggregation, baselines, file output."""
 
+import ctypes
 import json
 import math
 import os
@@ -216,11 +217,28 @@ class TestGreedyDChoice:
             assert 2 <= res.max_load <= 6
 
     def test_kernels_compile_without_warnings(self):
-        # every instantiation of PLACE and THIN, with warnings as errors
+        # every instantiation of PLACE, THIN and TALLY, with warnings as errors
         compiled = subprocess.run(["cc", "-O2", "-Wall", "-Wextra", "-Werror", "-fsyntax-only",
                                    core._KERNEL_SOURCE], capture_output=True, text=True,
                                   timeout=60)
         assert compiled.returncode == 0, compiled.stderr
+
+    def test_every_kernel_is_declared(self):
+        # undeclared, ctypes passes each argument as a C int, which can truncate a 64-bit
+        # address or count; the kernels and their parameters are read from greedy.c
+        source = Path(core._KERNEL_SOURCE).read_text()
+        signatures = {macro: re.sub(r"\s*\\\n\s*", " ", params).split(",") for macro, params in
+                      re.findall(r"#define (\w+)\(name,[^)]*\)\s*\\\n\w+ name\(([^{]*)\)", source)}
+        kernels = re.findall(r"^(PLACE|THIN|TALLY)\((\w+),", source, re.M)
+        assert {macro for macro, _ in kernels} == {"PLACE", "THIN", "TALLY"} == set(signatures)
+        lib = core._kernels()
+        for macro, name in kernels:
+            expected = [ctypes.c_void_p if "*" in param else
+                        {"int64_t": ctypes.c_int64, "double": ctypes.c_double}[param.split()[0]]
+                        for param in signatures[macro]]
+            kernel = getattr(lib, name)
+            assert list(kernel.argtypes or ()) == expected, name
+            assert kernel.restype is ctypes.c_int64, name
 
     @pytest.fixture
     def empty_cache(self, tmp_path, monkeypatch):
