@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import ctypes
 import json
+import math
 import os
 import resource
 import zlib
@@ -114,33 +115,19 @@ def _pin_malloc_thresholds() -> None:
 _pin_malloc_thresholds()
 
 
-def trial_int64s(n: int, d: int, m: int, strategy) -> int:
-    """Estimated int64 values a trial of `strategy` holds at its peak; a batch's keys are bins.
+def trial_int64s(n: int, d: int, masked: int = 0) -> int:
+    """Estimated int64 values a trial of n bins and d rounds holds at its peak.
 
-    Two bytes per bin (the round row and the loads, until a bin holds 255
-    balls and they widen), one partly served 2¹⁶-value block in each of the
-    d+1 pools and 2¹³ values to spare.  With a round `rule` nothing grows
-    with m.  Without one (a single trial only), each round before the last
-    is masked whole, which adds eight m-length arrays: the take, the float
-    coins and `accept_mask`'s ranking arrays (`occurrence_rank`'s order,
-    sorted copy, group starts and lengths, and two rank arrays).
+    One estimate sizes a single trial, a batch (whose keys are bins) and a
+    greedy trial: two bytes per bin (the round row and the loads, or greedy's
+    loads and ψ flags; widening past 255 is not budgeted), one partly served
+    2¹⁶-value block in each of the d+1 pools and 2¹³ values to spare.  Only a
+    rule-less trial grows with m: it masks each round before the last whole,
+    and its `masked` balls add eight arrays of that length: the take, the
+    float coins and `accept_mask`'s ranking arrays (`occurrence_rank`'s
+    order, sorted copy, group starts and lengths, and two rank arrays).
     """
-    int64s = (2 * n + 7) // 8 + (d + 1) * _CHUNK + _CHUNK // 8
-    return int64s if getattr(strategy, "rule", None) is not None else int64s + 8 * m
-
-
-def greedy_int64s(n: int, d: int) -> int:
-    """Estimated int64 values `run_greedy_d_choice` holds at its peak.
-
-    Two bytes per bin (the one-byte loads, until a bin holds 255 balls and
-    they widen, and ψ's one-byte flags); `_summary`'s tally reads the loads
-    in place into 256 counts.  Per block, the d pool takes of at most 2¹⁶
-    values (or the partly served blocks they are cut from), which the loop
-    reads in place, with one 2¹⁶-value block to spare for the small objects
-    a trial makes.  Widening past 255 is not budgeted.  Nothing grows with m
-    or with d·n.
-    """
-    return (2 * n + 7) // 8 + (d + 1) * _CHUNK
+    return (2 * n + 7) // 8 + (d + 1) * _CHUNK + _CHUNK // 8 + 8 * masked
 
 
 def require_memory(int64s: int, what: str) -> None:
@@ -379,18 +366,22 @@ class RoundRule:
     """A strategy's round rule, as plain data: the compiled loop runs it and `Strategy` reads it.
 
     In the rounds it binds in (`binds`), a ball is accepted if its bin's
-    count in the round so far is at most cap (at least 0), or if its coin,
-    one aux value per ball in ball order, is at least beta.  cap None
-    accepts every ball and beta None takes no coin.  Other rounds accept
-    every ball and take no coin.
+    count in the round so far is at most cap (an integer, at least 0), or if
+    its coin, one aux value per ball in ball order, is at least beta (not
+    NaN).  cap None accepts every ball and beta None takes no coin.  Other
+    rounds accept every ball and take no coin.
     """
 
     cap: int | None = None
     beta: float | None = None
 
     def __post_init__(self):
+        if self.cap is not None and not isinstance(self.cap, (int, np.integer)):
+            raise ConfigError(f"cap must be an integer, got {self.cap!r}")
         if self.cap is not None and self.cap < 0:
             raise ConfigError(f"cap must be >= 0, got {self.cap}")
+        if self.beta is not None and math.isnan(self.beta):
+            raise ConfigError(f"beta must be a number, got {self.beta!r}")
 
     def binds(self, i: int, d: int) -> bool:
         """Round i of d binds if it is before the last, and is round 1 for a rule with a coin."""
@@ -403,14 +394,15 @@ def _run(strategy, trials: int, n: int, d: int, m: int, pools, aux):
     Trial t's bin b is key t·n + b.  Each round streams its offers from its
     pool in 2¹⁶-value blocks, in (trial, ball) order, through greedy.c's
     per-ball loop, which counts each accepted ball in a one-byte round row
-    and in one-byte loads per key; both widen to int64, once, before a load
-    could pass 255.  ψ is the round-1 row's nonzero count: a bin's first
-    round-1 offer is always accepted, since no rule's cap is below 0.  An
-    object with no `rule` runs one trial, whose keys are its bins: it takes
-    each round before the last whole, and its `accept_mask` is the round's
-    coins, so that with cap -1 and beta 0.5 a ball is accepted exactly where
-    the mask is set.  Its ψ counts round 1's offers, flagged in the empty
-    row, since a mask may reject a bin's first offer.
+    and in one-byte loads per key.  A call that stops short of its block's
+    end has found a full load: both widen to int64, once, and the wide loop
+    resumes from that ball.  ψ is the round-1 row's nonzero count: a bin's
+    first round-1 offer is always accepted, since no rule's cap is below 0.
+    An object with no `rule` runs one trial, whose keys are its bins: it
+    takes each round before the last whole, and its `accept_mask` is the
+    round's coins, so that with cap -1 and beta 0.5 a ball is accepted
+    exactly where the mask is set.  Its ψ counts round 1's offers, flagged
+    in the empty row, since a mask may reject a bin's first offer.
     """
     rule, lib = getattr(strategy, "rule", None), _kernels()
     thin = lib.thin_narrow
@@ -418,7 +410,8 @@ def _run(strategy, trials: int, n: int, d: int, m: int, pools, aux):
     tally = np.zeros(2 + 2 * trials, np.int64)  # greedy.c's position and per-trial counts
     at, waiting, rejected = tally[:2], tally[2:2 + trials], tally[2 + trials:]
     at[0], waiting[:] = -1, m
-    addresses = row.ctypes.data, loads.ctypes.data, tally.ctypes.data  # each takes µs to look up
+    rows = row.ctypes.data, loads.ctypes.data  # each address takes µs to look up
+    tally_at = tally.ctypes.data
     rejection_counters, round_load_max, psi_count = [], [], 0
     for i in range(1, d + 1):
         reached = int(waiting.sum())
@@ -429,6 +422,7 @@ def _run(strategy, trials: int, n: int, d: int, m: int, pools, aux):
             cap, beta, block = -1, 0.5, max(reached, 1)
         elif rule is not None and rule.binds(i, d):
             cap, beta = cap if rule.cap is None else min(rule.cap, cap), rule.beta
+        round_args = n, trials, tally_at, cap, beta or 0.0
         for start in range(0, reached, block):
             bins = pools[i - 1].take(min(block, reached - start))
             if masked:
@@ -438,15 +432,12 @@ def _run(strategy, trials: int, n: int, d: int, m: int, pools, aux):
                     psi_count, row[:] = np.count_nonzero(row), 0
             else:
                 coins = None if beta is None else aux.take(bins.size)
-            placed = 0
-            while True:
-                placed += thin(*addresses[:2], bins.ctypes.data + 8 * placed,
-                               None if beta is None else coins.ctypes.data + 8 * placed,
-                               bins.size - placed, n, trials, addresses[2], cap, beta or 0.0)
-                if placed == bins.size:
-                    break
+            block_at = bins.ctypes.data, None if beta is None else coins.ctypes.data
+            stop = thin(*rows, *block_at, 0, bins.size, *round_args)
+            if stop < bins.size:  # a one-byte load is full
                 row, loads, thin = row.astype(np.int64), loads.astype(np.int64), lib.thin_wide
-                addresses = row.ctypes.data, loads.ctypes.data, tally.ctypes.data
+                rows = row.ctypes.data, loads.ctypes.data
+                thin(*rows, *block_at, stop, bins.size, *round_args)
             del bins, coins  # so that no block is held while the next one is drawn
         if i == 1 and not masked:
             psi_count = np.count_nonzero(row)
@@ -459,7 +450,8 @@ def _run(strategy, trials: int, n: int, d: int, m: int, pools, aux):
 def run_trial(n: int, d: int, m: int, strategy, seed: int) -> TrialResult:
     """Run one complete trial of m balls; deterministic in (inputs, seed)."""
     check_sizes(n, d, m, seed)
-    require_memory(trial_int64s(n, d, m, strategy), f"a trial with n={n}, d={d}, m={m}")
+    masked = m if getattr(strategy, "rule", None) is None else 0
+    require_memory(trial_int64s(n, d, masked), f"a trial with n={n}, d={d}, m={m}")
     # the pools are freed before the summary counts the loads
     return _summary(*_run(strategy, 1, n, d, m, *make_pools(n, d, seed)), strategy.name, seed)
 
@@ -510,9 +502,9 @@ def _kernels() -> ctypes.CDLL:
     lib = ctypes.CDLL(library)
     address, i64 = ctypes.c_void_p, ctypes.c_int64
     for place in (lib.place_narrow, lib.place_wide):
-        place.argtypes = [address] * 3 + [i64] * 2
+        place.argtypes = [address] * 3 + [i64] * 3
     for thin in (lib.thin_narrow, lib.thin_wide):
-        thin.argtypes = [address] * 4 + [i64] * 3 + [address, i64, ctypes.c_double]
+        thin.argtypes = [address] * 4 + [i64] * 4 + [address, i64, ctypes.c_double]
     for tally in (lib.tally_narrow, lib.tally_wide):
         tally.argtypes = [address, i64, address, i64]
     for kernel in (lib.place_narrow, lib.place_wide, lib.thin_narrow, lib.thin_wide,
@@ -533,28 +525,24 @@ def run_greedy_d_choice(n: int, d: int, m: int, seed: int) -> TrialResult:
     compiled loop (`_kernels`), one pool block of up to 2¹⁶ balls per call,
     which reads one take of every pool in place.  Pool takes do not depend
     on how they are split, so the block size changes no drawn value.  The
-    loads are one byte per bin; the loop stops at a ball whose least-loaded
-    offer already holds 255, and the loads then widen to int64, once, for
-    the rest of the block and the trial.  The top load is read from the
-    loads at the end.
+    loads are one byte per bin.  A call that stops short of its block's end
+    has met a ball whose least-loaded offer holds 255: the loads widen to
+    int64, once, and the wide loop resumes from that ball.
     """
     check_sizes(n, d, m, seed)
-    require_memory(greedy_int64s(n, d), f"a greedy trial with n={n}, d={d}, m={m}")
+    require_memory(trial_int64s(n, d), f"a greedy trial with n={n}, d={d}, m={m}")
     lib = _kernels()
     place = lib.place_narrow
-    loads = np.zeros(n, dtype=np.uint8)
-    seen = np.zeros(n, dtype=np.uint8)
+    loads, seen = np.zeros(n, np.uint8), np.zeros(n, np.uint8)
     pools, _ = make_pools(n, d, seed)
     for start in range(0, m, _CHUNK):
         k = min(_CHUNK, m - start)
         takes = [pool.take(k) for pool in pools]
-        placed = 0
-        while True:
-            offers = (ctypes.c_void_p * d)(*(t.ctypes.data + 8 * placed for t in takes))
-            placed += place(loads.ctypes.data, seen.ctypes.data, offers, d, k - placed)
-            if placed == k:
-                break
+        offers = (ctypes.c_void_p * d)(*(take.ctypes.data for take in takes))
+        stop = place(loads.ctypes.data, seen.ctypes.data, offers, d, 0, k)
+        if stop < k:  # a one-byte load is full
             loads, place = loads.astype(np.int64), lib.place_wide
+            place(loads.ctypes.data, seen.ctypes.data, offers, d, stop, k)
         del takes  # so that no block is held while the next one is drawn
     del pools  # their partly served blocks are freed before the summary counts the loads
     rest = [0] * (d - 1)
@@ -593,7 +581,7 @@ def simulate_max_load_counts(n: int, d: int, m: int, strategy, trials: int,
     if getattr(strategy, "rule", None) is None:
         raise ConfigError(f"strategy {strategy.name!r} has no round rule, so it cannot run batched")
     # the batch also keeps each trial's rejected count and what it offers next
-    require_memory(trial_int64s(trials * n, d, trials * m, strategy) + 2 * trials,
+    require_memory(trial_int64s(trials * n, d) + 2 * trials,
                    f"{trials} batched trials with n={n}, d={d}, m={m}")
     loads, *_ = _run_batch(n, d, m, strategy, trials, seed)
     values, freq = np.unique(loads.reshape(trials, n).max(axis=1), return_counts=True)

@@ -178,7 +178,7 @@ def run_experiment(config: ExperimentConfig, keep_trials: bool = False):
     rho_float(config.rho)  # the aggregate's beta sequence takes rho as a float
     strategy = make_strategy(config.strategy, config.n, config.d)
     concurrent = min(config.threads, config.trials)
-    require_memory(concurrent * trial_int64s(config.n, config.d, m, strategy),
+    require_memory(concurrent * trial_int64s(config.n, config.d),
                    f"an experiment with n={config.n}, d={config.d}, m={m} "
                    f"on {concurrent} thread(s)")
     start = time.perf_counter()

@@ -1,25 +1,26 @@
 /* thinlab's per-ball loops, built once and cached by thinlab.core._kernels.
  *
+ * PLACE and THIN share one protocol: a call places balls t..k-1 of one pool
+ * block, in ball order, and returns the index where it stopped: k, or, on
+ * one-byte loads, the first ball that could lift a load past 255.  The
+ * caller then widens the loads to int64, once, and resumes the wide loop
+ * from that ball.
+ *
  * place_narrow, place_wide: one block of greedy d-choice
- * (thinlab.core.run_greedy_d_choice), on one-byte and on int64 loads.  Places
- * k balls in ball order: ball t is offered bins offers[j][t] for j < d and
- * goes to its least-loaded offer, the lowest bin on ties.  The least (load,
- * bin) pair is selected with masks, not branches, since which offer is
- * least is close to a coin flip, and the least load is kept in a local.
- * Ball t's first offer is marked in seen.  Returns the balls placed: k, or,
- * on one-byte loads, the first ball whose least-loaded offer already holds
- * 255, which the caller places on widened loads.
+ * (thinlab.core.run_greedy_d_choice).  Ball t is offered bins offers[j][t]
+ * for j < d and goes to its least-loaded offer, the lowest bin on ties.  The
+ * least (load, bin) pair is selected with masks, not branches, since which
+ * offer is least is close to a coin flip, and the least load is kept in a
+ * local.  Ball t's first offer is marked in seen.
  *
  * thin_narrow, thin_wide: one block of a thinning round (thinlab.core's
- * rule path), on one-byte and on int64 counts.  tally[0] is the trial of the
- * block's first ball and tally[1] that trial's balls left in the round; then
- * come waiting[trials], each trial's balls in the round, and
+ * rule path), on the round's counts in row and the trial's in loads.
+ * tally[0] is the trial of ball t and tally[1] that trial's balls left in
+ * the round; then come waiting[trials], each trial's balls in the round, and
  * rejected[trials].  Ball t's key is trial*n + bins[t].  It is accepted if
  * the key's round count is at most cap, or if coins is given and its coin
  * coins[t] is at least beta: then row[key] and loads[key] count it.
- * Otherwise rejected[trial] counts it.  Returns the balls placed: k, or, on
- * one-byte counts, the first ball whose key's load is already 255, which the
- * caller places on widened counts.
+ * Otherwise rejected[trial] counts it.
  *
  * tally_narrow, tally_wide: a trial's load histogram (thinlab.core._summary),
  * from one-byte and from int64 loads.  Adds each of the n loads to its entry
@@ -34,10 +35,9 @@
 
 #define PLACE(name, load_t, full)                                                        \
 int64_t name(load_t *loads, uint8_t *seen, const int64_t *const *offers, int64_t d,      \
-             int64_t k)                                                                  \
+             int64_t t, int64_t k)                                                       \
 {                                                                                        \
-    int64_t t;                                                                           \
-    for (t = 0; t < k; t++) {                                                            \
+    for (; t < k; t++) {                                                                 \
         int64_t best = offers[0][t];                                                     \
         load_t least = loads[best];                                                      \
         seen[best] = 1;                                                                  \
@@ -61,13 +61,13 @@ PLACE(place_wide, int64_t, INT64_MAX)
 
 #define THIN(name, count_t, full)                                                        \
 int64_t name(count_t *row, count_t *loads, const int64_t *bins, const double *coins,     \
-             int64_t k, int64_t n, int64_t trials, int64_t *tally, int64_t cap,          \
-             double beta)                                                                \
+             int64_t t, int64_t k, int64_t n, int64_t trials, int64_t *tally,            \
+             int64_t cap, double beta)                                                   \
 {                                                                                        \
     const int64_t *waiting = tally + 2;                                                  \
     int64_t *rejected = tally + 2 + trials;                                              \
-    int64_t trial = tally[0], left = tally[1], t;                                        \
-    for (t = 0; t < k; t++) {                                                            \
+    int64_t trial = tally[0], left = tally[1];                                           \
+    for (; t < k; t++) {                                                                 \
         while (left == 0)                                                                \
             left = waiting[++trial];                                                     \
         int64_t key = trial * n + bins[t];                                               \
@@ -88,7 +88,6 @@ int64_t name(count_t *row, count_t *loads, const int64_t *bins, const double *co
 
 THIN(thin_narrow, uint8_t, UINT8_MAX)
 THIN(thin_wide, int64_t, INT64_MAX)
-
 
 #define LONG_ROW 1024
 

@@ -25,6 +25,7 @@ from .core import (ConfigError, check_sizes, new_state, per_trial_max_load_count
                    simulate_max_load_counts)
 
 DEFAULT_NODE_BUDGET = 10 ** 7
+MAX_DEPTH = 500  # draws on one path; the walk recurses once per draw, and Python allows 1,000
 
 
 class OracleBudgetExceeded(RuntimeError):
@@ -62,7 +63,8 @@ def exact_distribution(n: int, d: int, m: int, strategy,
     """Enumerate the decision tree and return the exact max-load masses.
 
     Practical for n <= 4, m <= 5, d <= 3 or so; the walk aborts once it has
-    visited node_budget suggestion branches.
+    visited node_budget suggestion branches, or refuses to start if one
+    path's m·d draws could pass MAX_DEPTH.
     """
     check_sizes(n, d, m)
     if node_budget < 1:
@@ -70,6 +72,9 @@ def exact_distribution(n: int, d: int, m: int, strategy,
     if not strategy.deterministic:
         raise ConfigError(f"strategy {strategy.name!r} is randomized; the oracle only "
                           "enumerates deterministic decision rules")
+    if m * d > MAX_DEPTH:
+        raise OracleBudgetExceeded(f"a path of m={m} balls over d={d} rounds may take {m * d} "
+                                   f"draws, past the walk's {MAX_DEPTH}-draw depth")
     state = new_state(n, d)
     aux = _ForbiddenAux()
     inv_n = Fraction(1, n)

@@ -8,11 +8,13 @@ and lower-bound cascade, which the lab never runs, live with the tests.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 from .core import ConfigError
 
 _LOG_EXP_OVERFLOW = math.log(700.0)  # exp(-x) for x past 700 is below 1e-304: read as 0.0
+_LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
 
 def ell(n: float, d: int) -> float:
@@ -72,6 +74,8 @@ def beta_sequence(n: float, d: int, rho: float) -> BetaSequence:
     fact = real_factorial(l)
     try:
         values = [rho * n]
+        if (d - 1) * math.log(2.0 / fact) > _LOG_FLOAT_MAX + 1:
+            raise OverflowError  # as (2/ell!)**E below would, E >= d-1: skip the d values
         for _ in range(d - 1):
             values.append(n * (2.0 / fact) * (values[-1] / n) ** l)
         if d == 1:

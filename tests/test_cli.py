@@ -308,6 +308,25 @@ class TestOracleCommand:
         assert run_cli("oracle", "--n", "2", "--d", "2", "--m", "2",
                        "--strategy", "beta-thinning:beta=0.5,cap=0") == 2
 
+    @pytest.mark.parametrize("d,m,spec", [(1, 1200, "always-accept"),
+                                          (2, 600, "threshold:ell=0.5"),
+                                          (2, 300, "threshold:ell=0.5")])
+    def test_path_past_the_walk_depth_message(self, capsys, d, m, spec):
+        # the walk recurses once per draw; one bin makes a deep tree of few nodes
+        assert run_cli("oracle", "--n", "1", "--d", str(d), "--m", str(m),
+                       "--strategy", spec) == 2
+        captured = capsys.readouterr()
+        assert captured.err == (f"thinlab: error: a path of m={m} balls over d={d} rounds may "
+                                f"take {m * d} draws, past the walk's 500-draw depth\n")
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("d,m,spec", [(1, 500, "always-accept"),
+                                          (2, 250, "threshold:ell=0.5")])
+    def test_path_at_the_walk_depth(self, capsys, d, m, spec):
+        assert run_cli("oracle", "--n", "1", "--d", str(d), "--m", str(m),
+                       "--strategy", spec) == 0
+        assert capsys.readouterr().out == f"maxload,probability\n{m},1.0\n"
+
     def test_negative_ball_count_rejected(self, capsys):
         assert run_cli("oracle", "--n", "2", "--d", "2", "--m", "-1",
                        "--strategy", "threshold:ell=0.5") == 2

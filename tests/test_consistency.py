@@ -402,6 +402,23 @@ class TestRoundRuleGrid:
         with pytest.raises(ConfigError, match="cap must be >= 0, got -1"):
             RoundRule(cap=-1, beta=beta)
 
+    def test_refuses_nan_beta(self):
+        # decide reads x < nan as no permission, the compiled loop coin >= nan as no coin
+        with pytest.raises(ConfigError, match="beta must be a number, got nan"):
+            RoundRule(cap=0, beta=float("nan"))
+
+    @pytest.mark.parametrize("cap", [1.5, 2.0, "1"])
+    def test_refuses_cap_that_is_no_integer(self, cap):
+        # the compiled loop takes cap as a C int64
+        with pytest.raises(ConfigError, match=f"cap must be an integer, got {cap!r}"):
+            RoundRule(cap=cap)
+
+    @pytest.mark.parametrize("cap", [2, np.int64(2), np.uint8(2)])
+    def test_integer_caps_run(self, cap):
+        strat = rule_strategy(RoundRule(cap=cap))
+        assert run_trial(5, 2, 20, strat, 3).to_json() == \
+            run_trial(5, 2, 20, rule_strategy(RoundRule(cap=2)), 3).to_json()
+
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_rule_binding_in_no_round_is_one_choice(self, d):
         # no RoundRule with a cap binds in no round, so the mask protocol states this one

@@ -13,7 +13,7 @@ import pytest
 
 from thinlab import core
 from thinlab.core import (ConfigError, DecisionRecord, Pool, PoolExhausted,
-                          _result_from_state, _summary, greedy_int64s, make_pools, mix_seed,
+                          _result_from_state, _summary, make_pools, mix_seed,
                           new_state, occurrence_rank, per_trial_max_load_counts,
                           run_greedy_d_choice, run_trial, simulate_max_load_counts,
                           step, trial_int64s)
@@ -554,19 +554,19 @@ class TestMemoryEstimates:
         strat = (make_strategy("threshold", n, d) if ell_value is None
                  else ThresholdStrategy(ell_value))
         peak = traced_peak(lambda: run_trial(n, d, n, strat, seed=1))
-        assert 8 * trial_int64s(n, d, n, strat) >= peak
+        assert 8 * trial_int64s(n, d) >= peak
 
     @pytest.mark.parametrize("cap", [0, 3])
     def test_beta_thinning_trial(self, cap):
         n = self.N
         strat = BetaThinning(0.9, cap)
         peak = traced_peak(lambda: run_trial(n, 2, n, strat, seed=1))
-        assert 8 * trial_int64s(n, 2, n, strat) >= peak
+        assert 8 * trial_int64s(n, 2) >= peak
 
     def test_always_accept_trial(self):
         n = self.N
         peak = traced_peak(lambda: run_trial(n, 1, n, AlwaysAccept(), seed=1))
-        assert 8 * trial_int64s(n, 1, n, AlwaysAccept()) >= peak
+        assert 8 * trial_int64s(n, 1) >= peak
 
     @pytest.mark.parametrize("d,strat", [
         (2, ThresholdStrategy(0.5)), (3, ThresholdStrategy(0.5)), (2, BetaThinning(0.9, 0))],
@@ -576,14 +576,14 @@ class TestMemoryEstimates:
 
         n = self.N
         peak = traced_peak(lambda: run_trial(n, d, n, MaskOnly(strat), seed=1))
-        assert 8 * trial_int64s(n, d, n, MaskOnly(strat)) >= peak
+        assert 8 * trial_int64s(n, d, masked=n) >= peak
 
     @pytest.mark.parametrize("d,balls_per_bin", [(2, 1), (3, 1), (2, 10)],
                              ids=["2", "3", "2-m=10n"])
     def test_greedy_trial(self, d, balls_per_bin):
         n = self.N
         peak = traced_peak(lambda: run_greedy_d_choice(n, d, balls_per_bin * n, seed=1))
-        assert 8 * greedy_int64s(n, d) >= peak
+        assert 8 * trial_int64s(n, d) >= peak
 
     @pytest.mark.parametrize("n,d,m,strat,trials", [
         (4, 2, 4, ThresholdStrategy(0.5), 20_000),
@@ -594,7 +594,7 @@ class TestMemoryEstimates:
     ])
     def test_batched_counts(self, n, d, m, strat, trials):
         peak = traced_peak(lambda: simulate_max_load_counts(n, d, m, strat, trials, seed=1))
-        assert 8 * trial_int64s(trials * n, d, trials * m, strat) >= peak
+        assert 8 * trial_int64s(trials * n, d) >= peak
 
 
 class TestTrialPeak:

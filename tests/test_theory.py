@@ -5,6 +5,7 @@ rounded to double precision.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -113,6 +114,41 @@ class TestBetaSequence:
     def test_rejects_bad_rho(self):
         with pytest.raises(ConfigError):
             beta_sequence(10**6, 2, 0.0)
+
+    def test_hopeless_depth_refused_in_constant_memory(self):
+        # building the d-element sequence first would hold about 32 MB at d = 10**6
+        tracemalloc.start()
+        try:
+            with pytest.raises(ConfigError, match=r"^the beta sequence passes the largest "
+                                                  r"float at n=1000000, d=1000000, rho=1\.0$"):
+                beta_sequence(10**6, 10**6, 1.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+    @pytest.mark.parametrize("n", [3, 10**6, 1e300])
+    @pytest.mark.parametrize("rho", [1e-300, 1.0, 1e300])
+    def test_early_refusal_agrees_with_the_full_recursion(self, n, rho):
+        # the full recursion first refuses some d below 40, the early refusal near d = 1,033;
+        # each d around either edge gives the full recursion's values, or its refusal
+        for d in [*range(1, 64), *range(1020, 1050)]:
+            l = ell(n, d)
+            fact = math.gamma(l + 1.0)
+            try:
+                values = [rho * n]
+                for _ in range(d - 1):
+                    values.append(n * (2.0 / fact) * (values[-1] / n) ** l)
+                exponent = sum(l ** i for i in range(d - 1))
+                closed = n * rho ** (l ** (d - 1)) * (2.0 / fact) ** exponent
+            except OverflowError:
+                closed = math.inf
+            if math.isfinite(closed) and math.isfinite(values[-1]):
+                seq = beta_sequence(n, d, rho)
+                assert (seq.values, seq.closed_form_last) == (tuple(values), closed)
+            else:
+                with pytest.raises(ConfigError, match="passes the largest float"):
+                    beta_sequence(n, d, rho)
 
 
 class TestEllRelation:
