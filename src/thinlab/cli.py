@@ -15,7 +15,7 @@ import sys
 from .core import ConfigError
 from .experiments import (ExperimentConfig, emit, format_results, rho_float,
                           run_experiment, sweep)
-from .oracle import DEFAULT_NODE_BUDGET, OracleBudgetExceeded, exact_distribution
+from .oracle import DEFAULT_NODE_BUDGET, exact_distribution
 from .strategies import make_strategy
 from .theory import (beta_sequence, ell, lower_tail_probability,
                      predicted_bounds, predicted_max, upper_tail_probability)
@@ -175,7 +175,7 @@ def main(argv=None) -> int:
                 "theory": cmd_theory, "oracle": cmd_oracle}
     try:
         return handlers[args.command](args)
-    except (ConfigError, ValueError, OracleBudgetExceeded) as exc:
+    except (ValueError, RuntimeError) as exc:  # bad input, a node budget or a kernel build
         print(f"thinlab: error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

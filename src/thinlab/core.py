@@ -233,7 +233,6 @@ class AllocationState:
     round_loads and d; `_result_from_state` derives a run's numbers from them all.
     """
 
-    n: int
     d: int
     t: int
     round_loads: np.ndarray
@@ -248,7 +247,7 @@ class AllocationState:
 def new_state(n: int, d: int) -> AllocationState:
     """Fresh state for n bins and thinning depth d (no balls placed)."""
     check_sizes(n, d)
-    return AllocationState(n=n, d=d, t=0, round_loads=np.zeros((d, n), dtype=np.int64),
+    return AllocationState(d=d, t=0, round_loads=np.zeros((d, n), dtype=np.int64),
                            psi_seen=np.zeros(n, dtype=bool))
 
 
@@ -319,30 +318,31 @@ def _summary(loads: np.ndarray, psi_count: int, rejection_counters, round_load_m
     """The TrialResult of a finished trial: its loads, ψ, r_1..r_d and per-round maxima.
 
     The load histogram also gives the max load (its last value) and φ (the
-    bins not at load 0).  greedy.c's tally counts the loads in place, in one
-    pass: `tally_narrow` one-byte loads into 256 counts, `tally_wide` int64
-    loads into as many counts as the top load needs.
+    bins not at load 0).  greedy.c's `tally` counts one-byte loads in place,
+    in one pass, into 256 counts; `np.unique` counts int64 loads (a trial
+    widened past 255, or `step`'s column sums) in memory that grows with the
+    bins, not with the top load.
     """
     r = tuple(int(v) for v in rejection_counters)
     if loads.dtype == np.uint8:
-        loads, tally, size = np.ascontiguousarray(loads), _kernels().tally_narrow, 256
+        loads, counts = np.ascontiguousarray(loads), (ctypes.c_int64 * 256)()  # zeroed
+        top = _kernels().tally(loads.ctypes.data, loads.size, counts)
+        histogram = {v: c for v, c in enumerate(counts[:top + 1]) if c}
     else:
-        loads = np.ascontiguousarray(loads, np.int64)
-        if loads.min() < 0:  # the tally indexes counts by load
-            raise ValueError(f"loads must be >= 0, got {loads.min()}")
-        tally, size = _kernels().tally_wide, int(loads.max()) + 1
-    counts = (ctypes.c_int64 * size)()  # zeroed, and sliced into a list of ints
-    counts = counts[:tally(loads.ctypes.data, loads.size, counts, size) + 1]
+        values, counts = np.unique(loads, return_counts=True)
+        if values[0] < 0:
+            raise ValueError(f"loads must be >= 0, got {values[0]}")
+        top, histogram = int(values[-1]), dict(zip(values.tolist(), counts.tolist()))
     return TrialResult(
         n=loads.size,
         d=len(r),
         m=r[0],
         strategy=name,
         seed=seed,
-        max_load=len(counts) - 1,
-        histogram={v: c for v, c in enumerate(counts) if c},
+        max_load=top,
+        histogram=histogram,
         rejection_counters=r,
-        phi=loads.size - counts[0],
+        phi=loads.size - histogram.get(0, 0),
         psi=int(psi_count),
         chosen_counts=tuple(a - b for a, b in zip(r, r[1:] + (0,))),
         round_load_max=tuple(int(v) for v in round_load_max),
@@ -505,10 +505,8 @@ def _kernels() -> ctypes.CDLL:
         place.argtypes = [address] * 3 + [i64] * 3
     for thin in (lib.thin_narrow, lib.thin_wide):
         thin.argtypes = [address] * 4 + [i64] * 4 + [address, i64, ctypes.c_double]
-    for tally in (lib.tally_narrow, lib.tally_wide):
-        tally.argtypes = [address, i64, address, i64]
-    for kernel in (lib.place_narrow, lib.place_wide, lib.thin_narrow, lib.thin_wide,
-                   lib.tally_narrow, lib.tally_wide):
+    lib.tally.argtypes = [address, i64, address]
+    for kernel in (lib.place_narrow, lib.place_wide, lib.thin_narrow, lib.thin_wide, lib.tally):
         kernel.restype = i64
     return lib
 

@@ -57,7 +57,7 @@ def parse_rho(rho: str) -> Fraction:
     """The exact rho of a decimal or fraction string; refuses one that is not positive."""
     try:
         frac = Fraction(rho)
-    except ValueError:
+    except (ValueError, ZeroDivisionError):  # "1/0" parses, then divides by zero
         raise ConfigError(f"rho must be a positive decimal or fraction, got {rho!r}") from None
     if frac <= 0:
         raise ConfigError(f"rho must be positive, got {rho}")

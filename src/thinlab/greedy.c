@@ -22,14 +22,13 @@
  * coins[t] is at least beta: then row[key] and loads[key] count it.
  * Otherwise rejected[trial] counts it.
  *
- * tally_narrow, tally_wide: a trial's load histogram (thinlab.core._summary),
- * from one-byte and from int64 loads.  Adds each of the n loads to its entry
- * of counts[size], which is zeroed and longer than the top load, and returns
- * the top load: the last nonzero entry, or 0.  A row of at least LONG_ROW
- * loads on at most 256 counts is read in strides of four, each load of a
- * stride into its own partial tally, so that equal neighbours do not wait on
- * each other's store; the loads past the last full stride are counted
- * directly, as a short row is.
+ * tally: a trial's load histogram (thinlab.core._summary), from one-byte
+ * loads.  Adds each of the n loads to its entry of counts[256], which is
+ * zeroed, and returns the top load: the last nonzero entry, or 0.  A row of
+ * at least LONG_ROW loads is read in strides of four, each load of a stride
+ * into its own partial tally, so that equal neighbours do not wait on each
+ * other's store; the loads past the last full stride are counted directly,
+ * as a short row is.  Int64 loads are counted by numpy.
  */
 #include <stdint.h>
 
@@ -91,27 +90,23 @@ THIN(thin_wide, int64_t, INT64_MAX)
 
 #define LONG_ROW 1024
 
-#define TALLY(name, load_t)                                                              \
-int64_t name(const load_t *loads, int64_t n, int64_t *counts, int64_t size)              \
-{                                                                                        \
-    int64_t i = 0, top = size - 1;                                                       \
-    if (n >= LONG_ROW && size <= 256) {                                                  \
-        int64_t part[4][256] = {{0}};                                                    \
-        for (; i + 4 <= n; i += 4) {                                                     \
-            part[0][loads[i]]++;                                                         \
-            part[1][loads[i + 1]]++;                                                     \
-            part[2][loads[i + 2]]++;                                                     \
-            part[3][loads[i + 3]]++;                                                     \
-        }                                                                                \
-        for (int64_t v = 0; v < size; v++)                                               \
-            counts[v] += part[0][v] + part[1][v] + part[2][v] + part[3][v];              \
-    }                                                                                    \
-    for (; i < n; i++)                                                                   \
-        counts[loads[i]]++;                                                              \
-    while (top > 0 && counts[top] == 0)                                                  \
-        top--;                                                                           \
-    return top;                                                                          \
+int64_t tally(const uint8_t *loads, int64_t n, int64_t *counts)
+{
+    int64_t i = 0, top = 255;
+    if (n >= LONG_ROW) {
+        int64_t part[4][256] = {{0}};
+        for (; i + 4 <= n; i += 4) {
+            part[0][loads[i]]++;
+            part[1][loads[i + 1]]++;
+            part[2][loads[i + 2]]++;
+            part[3][loads[i + 3]]++;
+        }
+        for (int64_t v = 0; v < 256; v++)
+            counts[v] += part[0][v] + part[1][v] + part[2][v] + part[3][v];
+    }
+    for (; i < n; i++)
+        counts[loads[i]]++;
+    while (top > 0 && counts[top] == 0)
+        top--;
+    return top;
 }
-
-TALLY(tally_narrow, uint8_t)
-TALLY(tally_wide, int64_t)

@@ -117,6 +117,8 @@ def make_strategy(spec: str, n: int, d: int) -> Strategy:
             if not _:
                 raise ConfigError(f"malformed strategy argument {item!r} in {spec!r}")
             key, value = key.strip(), value.strip()
+            if key in args:
+                raise ConfigError(f"argument {key!r} is given twice in strategy {spec!r}")
             try:
                 args[key] = types.get(key, str)(value)
             except ValueError:

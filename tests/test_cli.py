@@ -135,6 +135,21 @@ class TestRunCommand:
         assert capsys.readouterr().err == ("thinlab: error: rho must be a positive number "
                                            "within a float's range, got '1e-400'\n")
 
+    def test_zero_denominator_rho_in_config_file(self, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"n": 3, "rho": "3/0"}))
+        assert run_cli("run", "--config", str(config)) == 2
+        assert capsys.readouterr().err == ("thinlab: error: rho must be a positive decimal "
+                                           "or fraction, got '3/0'\n")
+
+    def test_kernel_build_failure_message(self, empty_cache, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("PATH", str(tmp_path))  # a directory with no cc in it
+        assert run_cli("run", "--n", "3") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("thinlab: error: thinlab builds its kernels with `cc -O2 ")
+        assert err.endswith("but no C compiler `cc` is on PATH\n")
+        assert not list(empty_cache.iterdir())
+
     def test_negative_seed_in_config_file(self, tmp_path, capsys):
         config = tmp_path / "config.json"
         config.write_text(json.dumps({"n": 100, "seed": -1, "trials": 2}))
@@ -276,7 +291,7 @@ class TestTheoryCommand:
         assert cols["rho"] == "1/2"
         assert float(cols["beta_1"]) == 500.0
 
-    @pytest.mark.parametrize("rho", ["nan", "inf", "0", "-1"])
+    @pytest.mark.parametrize("rho", ["nan", "inf", "0", "-1", "1/0"])
     def test_rho_refused_as_run_refuses_it(self, capsys, rho):
         assert run_cli("theory", "--n", "1000", "--d", "2", "--rho", rho) == 2
         theory_err = capsys.readouterr().err

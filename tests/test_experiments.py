@@ -217,7 +217,7 @@ class TestGreedyDChoice:
             assert 2 <= res.max_load <= 6
 
     def test_kernels_compile_without_warnings(self):
-        # every instantiation of PLACE, THIN and TALLY, with warnings as errors
+        # every instantiation of PLACE and THIN, and tally, with warnings as errors
         compiled = subprocess.run(["cc", "-O2", "-Wall", "-Wextra", "-Werror", "-fsyntax-only",
                                    core._KERNEL_SOURCE], capture_output=True, text=True,
                                   timeout=60)
@@ -225,30 +225,24 @@ class TestGreedyDChoice:
 
     def test_every_kernel_is_declared(self):
         # undeclared, ctypes passes each argument as a C int, which can truncate a 64-bit
-        # address or count; the kernels and their parameters are read from greedy.c
+        # address or count; the kernels and their parameters are read from greedy.c: a plain
+        # definition's own, and a macro instantiation's from its macro
         source = Path(core._KERNEL_SOURCE).read_text()
-        signatures = {macro: re.sub(r"\s*\\\n\s*", " ", params).split(",") for macro, params in
-                      re.findall(r"#define (\w+)\(name,[^)]*\)\s*\\\n\w+ name\(([^{]*)\)", source)}
-        kernels = re.findall(r"^(PLACE|THIN|TALLY)\((\w+),", source, re.M)
-        assert {macro for macro, _ in kernels} == {"PLACE", "THIN", "TALLY"} == set(signatures)
+        macros = dict(re.findall(r"#define (\w+)\(name,[^)]*\)\s*\\\n\w+ name\(([^{]*)\)", source))
+        signatures = dict(re.findall(r"^int64_t (\w+)\(([^)]*)\)\s*\{", source, re.M))
+        signatures.update((name, macros[macro])
+                          for macro, name in re.findall(r"^(\w+)\((\w+),", source, re.M))
+        assert set(macros) == {"PLACE", "THIN"}
+        assert set(signatures) == {"place_narrow", "place_wide", "thin_narrow", "thin_wide",
+                                   "tally"}
         lib = core._kernels()
-        for macro, name in kernels:
+        for name, params in signatures.items():
             expected = [ctypes.c_void_p if "*" in param else
                         {"int64_t": ctypes.c_int64, "double": ctypes.c_double}[param.split()[0]]
-                        for param in signatures[macro]]
+                        for param in re.sub(r"\s*\\\n\s*", " ", params).split(",")]
             kernel = getattr(lib, name)
             assert list(kernel.argtypes or ()) == expected, name
             assert kernel.restype is ctypes.c_int64, name
-
-    @pytest.fixture
-    def empty_cache(self, tmp_path, monkeypatch):
-        """greedy.c copied into tmp_path, so its kernels are built into an empty __pycache__."""
-        source = tmp_path / "greedy.c"
-        shutil.copy(core._KERNEL_SOURCE, source)
-        monkeypatch.setattr(core, "_KERNEL_SOURCE", str(source))
-        core._kernels.cache_clear()
-        yield tmp_path / "__pycache__"
-        core._kernels.cache_clear()
 
     def test_no_compiler(self, empty_cache, tmp_path, monkeypatch):
         monkeypatch.setenv("PATH", str(tmp_path))  # a directory with no cc in it

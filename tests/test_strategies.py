@@ -358,6 +358,13 @@ class TestMakeStrategy:
         with pytest.raises(ConfigError, match=re.escape(message)):
             make_strategy(spec, 100, 2)
 
+    @pytest.mark.parametrize("spec,key", [("threshold:ell=1.5,ell=9", "ell"),
+                                          ("beta-thinning:beta=0.1,beta=0.9", "beta")])
+    def test_refuses_a_repeated_argument(self, spec, key):
+        message = f"argument {key!r} is given twice in strategy {spec!r}"
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            make_strategy(spec, 100, 2)
+
     @pytest.mark.parametrize("spec", ["threshold:ell=inf", "threshold:ell=-inf",
                                       "threshold:ell=nan", "threshold-scaled:c=inf",
                                       "threshold-scaled:c=nan"])
